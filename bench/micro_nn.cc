@@ -1,9 +1,11 @@
 // Micro-benchmarks of the nn substrate: matmul throughput, LSTM steps,
-// CNN forward/backward — the kernels that dominate model training time.
+// CNN forward/backward — the kernels that dominate model training time —
+// and the served CNN's conv GEMM.
 
 #include <benchmark/benchmark.h>
 
 #include "sqlfacil/nn/autograd.h"
+#include "sqlfacil/nn/infer.h"
 #include "sqlfacil/nn/layers.h"
 #include "sqlfacil/nn/optim.h"
 #include "sqlfacil/util/thread_pool.h"
@@ -113,6 +115,24 @@ void BM_CnnForward(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CnnForward)->ArgsProduct({{64, 192}, kThreadSweep});
+
+// The served ccnn conv GEMM, one thread: a 32-query slice stacks ~2600
+// window rows, k = width * embed_dim = 48/64/80 for widths 3/4/5 at
+// embed_dim 16, n = kernels_per_width = 48. items_per_second is FLOP/s
+// (2*m*k*n per call).
+void BM_ConvGemm(benchmark::State& state) {
+  const int m = 2600, k = static_cast<int>(state.range(0)), n = 48;
+  Rng rng(6);
+  const Tensor a = Tensor::RandomUniform({m, k}, 1.0f, &rng);
+  const Tensor b = Tensor::RandomUniform({k, n}, 1.0f, &rng);
+  std::vector<float> c(static_cast<size_t>(m) * n);
+  for (auto _ : state) {
+    infer::MatMul(a.data(), b.data(), c.data(), m, k, n);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * int64_t{2} * m * k * n);
+}
+BENCHMARK(BM_ConvGemm)->Arg(48)->Arg(64)->Arg(80);
 
 void BM_SoftmaxCrossEntropy(benchmark::State& state) {
   Rng rng(5);

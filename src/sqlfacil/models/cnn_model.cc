@@ -487,24 +487,23 @@ std::vector<std::vector<float>> CnnModel::PredictBatch(
       float* features = arena.Alloc(static_cast<size_t>(slice) * feat_dim);
       for (size_t w = 0; w < config_.widths.size(); ++w) {
         const int width = config_.widths[w];
-        const int wd = width * d;
-        // Stack all queries' unfold windows into one tall matrix so the
-        // convolution is a single matmul for the whole slice.
+        // Query q's width-w windows are the rows of its embedding read at
+        // row stride d, so the convolution reads them in place and stacks
+        // every query's outputs into one conv_out for the slice.
         size_t total_rows = 0;
         for (size_t q = qb; q < qe; ++q) {
           total_rows += encoded[q].size() - width + 1;
         }
-        float* windows = arena.Alloc(total_rows * wd);
+        float* conv_out = arena.Alloc(total_rows * kernels);
         size_t row = 0;
         for (size_t q = qb; q < qe; ++q) {
-          const int t = static_cast<int>(encoded[q].size());
-          nn::infer::Unfold(emb + row_offset[q - qb] * d, t, d, width,
-                            windows + row * wd);
-          row += static_cast<size_t>(t - width + 1);
+          const int rows_q = static_cast<int>(encoded[q].size()) - width + 1;
+          nn::infer::MatMul(emb + row_offset[q - qb] * d, d,
+                            convs_[w].weight->value.data(),
+                            conv_out + row * kernels, rows_q, width * d,
+                            kernels);
+          row += static_cast<size_t>(rows_q);
         }
-        float* conv_out = arena.Alloc(total_rows * kernels);
-        nn::infer::MatMul(windows, convs_[w].weight->value.data(), conv_out,
-                          static_cast<int>(total_rows), wd, kernels);
         nn::infer::BiasAdd(conv_out, convs_[w].bias->value.data(),
                            static_cast<int>(total_rows), kernels);
         nn::simd::Relu(conv_out, total_rows * kernels);

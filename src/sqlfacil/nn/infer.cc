@@ -10,9 +10,15 @@
 namespace sqlfacil::nn::infer {
 
 void MatMul(const float* A, const float* B, float* C, int m, int k, int n) {
+  MatMul(A, k, B, C, m, k, n);
+}
+
+void MatMul(const float* A, int lda, const float* B, float* C, int m, int k,
+            int n) {
   std::memset(C, 0,
               static_cast<size_t>(m) * static_cast<size_t>(n) * sizeof(float));
-  simd::MatMulRows(A, B, C, 0, static_cast<size_t>(m), k, n);
+  simd::MatMulRows(A, static_cast<size_t>(lda), B, C, 0,
+                   static_cast<size_t>(m), k, n);
 }
 
 void BiasAdd(float* X, const float* bias, int rows, int cols) {

@@ -19,6 +19,12 @@ namespace sqlfacil::nn::infer {
 /// saxpy kernel the autograd forward uses.
 void MatMul(const float* A, const float* B, float* C, int m, int k, int n);
 
+/// MatMul with A's rows `lda` floats apart. With a (t x d) input, lda = d
+/// and k = window * d, row i is the width-`window` window at position i, so
+/// this equals MatMul over Unfold(in, t, d, window) without the copy.
+void MatMul(const float* A, int lda, const float* B, float* C, int m, int k,
+            int n);
+
 /// X[i, :] += bias[:] for each of `rows` rows (broadcast nn::Add).
 void BiasAdd(float* X, const float* bias, int rows, int cols);
 
@@ -27,7 +33,9 @@ void GatherRows(const float* table, int d, const int* ids, int n,
                 float* out);
 
 /// out = sliding windows of `in` (t x d) at width `window`:
-/// out[(t - window + 1) x (window * d)] (nn::Unfold).
+/// out[(t - window + 1) x (window * d)] (nn::Unfold). The fp32 CNN fast
+/// path reads the windows in place through the lda form of MatMul; this
+/// copy is the reference that form is tested against.
 void Unfold(const float* in, int t, int d, int window, float* out);
 
 /// out[j] = max over rows [row_begin, row_end) of X[:, k] — strict-greater

@@ -599,75 +599,144 @@ __attribute__((target("avx2"))) void LstmCellBackwardAvx2(
 
 // Register-blocked matmul kernels. The generic paths below accumulate
 // through memory (load C, mul, add, store C for every k), which makes the
-// inner loop a store-to-load latency chain. These variants hold a block of
-// up to 64 C columns in eight ymm accumulators across the whole k loop.
-// Each C element still receives its a[k]*B[k][j] terms with k ascending,
-// one rounding after the multiply and one after the add, and the same
-// zero-skips, so the results are bit-identical to the generic spec.
+// inner loop a store-to-load latency chain. These variants hold a tile of C
+// in ymm accumulators across the whole k loop. Each C element still receives
+// its a[k]*B[k][j] terms with k ascending, one rounding after the multiply
+// and one after the add, and the same zero-skips, so the results are
+// bit-identical to the generic spec.
+//
+// LstmGates and MatMulGradBRows hold one row's 64-column block in eight
+// accumulators and fall back to one accumulator per 8-column strip below
+// that width.
+//
+// MatMulRows tiles C as R rows x NV eight-column vectors: 64-column blocks
+// take NV = 8, the remaining whole vectors one tile of NV = 1..7. One
+// accumulator is one serial add chain, so a tile needs about eight of them
+// to keep both vector ports busy; with a single row, a narrow block (ccnn's
+// conv has n = 48, NV = 6) is latency-bound. Blocking R rows gives R*NV
+// chains, and each B vector load is shared by the R rows. R is the largest
+// (at most 4) for which the R*NV accumulators, the R broadcast A values and
+// one B vector plus one product fit the 16 ymm registers.
+
+template <int NV>
+constexpr int kMatMulTileRows = std::min(4, 14 / (NV + 1));
+
+template <int R, int NV>
+__attribute__((target("avx2"), always_inline)) inline void MatMulTileAvx2(
+    const float* A, size_t lda, const float* B, float* C, int k, int n) {
+  __m256 acc[R][NV];
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) {
+      acc[r][v] = _mm256_loadu_ps(C + static_cast<size_t>(r) * n + 8 * v);
+    }
+  }
+  for (int kk = 0; kk < k; ++kk) {
+    const float* b = B + static_cast<size_t>(kk) * n;
+    float av[R];
+    bool any_zero = false;
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      av[r] = A[r * lda + kk];
+      any_zero |= av[r] == 0.0f;
+    }
+    if (!any_zero) {
+      __m256 va[R];
+#pragma GCC unroll 8
+      for (int r = 0; r < R; ++r) va[r] = _mm256_set1_ps(av[r]);
+#pragma GCC unroll 8
+      for (int v = 0; v < NV; ++v) {
+        const __m256 vb = _mm256_loadu_ps(b + 8 * v);
+#pragma GCC unroll 8
+        for (int r = 0; r < R; ++r) {
+          acc[r][v] = _mm256_add_ps(acc[r][v], _mm256_mul_ps(va[r], vb));
+        }
+      }
+      continue;
+    }
+    // Some row of the tile has a zero here: skip exactly that row's terms.
+#pragma GCC unroll 8
+    for (int r = 0; r < R; ++r) {
+      if (av[r] == 0.0f) continue;
+      const __m256 va = _mm256_set1_ps(av[r]);
+#pragma GCC unroll 8
+      for (int v = 0; v < NV; ++v) {
+        acc[r][v] = _mm256_add_ps(
+            acc[r][v], _mm256_mul_ps(va, _mm256_loadu_ps(b + 8 * v)));
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 8
+    for (int v = 0; v < NV; ++v) {
+      _mm256_storeu_ps(C + static_cast<size_t>(r) * n + 8 * v, acc[r][v]);
+    }
+  }
+}
+
+// Columns [0, 8*NV) of C rows [row_begin, row_end) (B and C already offset
+// to the block's first column): R-row tiles, then the leftover rows with
+// halved tiles.
+template <int NV, int R = kMatMulTileRows<NV>>
+__attribute__((target("avx2"))) void MatMulColumnBlockAvx2(
+    const float* A, size_t lda, const float* B, float* C, size_t row_begin,
+    size_t row_end, int k, int n) {
+  size_t i = row_begin;
+  for (; i + R <= row_end; i += R) {
+    MatMulTileAvx2<R, NV>(A + i * lda, lda, B, C + i * static_cast<size_t>(n),
+                          k, n);
+  }
+  if constexpr (R > 1) {
+    MatMulColumnBlockAvx2<NV, R / 2>(A, lda, B, C, i, row_end, k, n);
+  }
+}
 
 __attribute__((target("avx2"))) void MatMulRowsAvx2(const float* A,
+                                                    size_t lda,
                                                     const float* B, float* C,
                                                     size_t row_begin,
                                                     size_t row_end, int k,
                                                     int n) {
+  int nb = 0;
+  for (; nb + 64 <= n; nb += 64) {
+    MatMulColumnBlockAvx2<8>(A, lda, B + nb, C + nb, row_begin, row_end, k,
+                             n);
+  }
+  using ColumnBlock = void (*)(const float*, size_t, const float*, float*,
+                               size_t, size_t, int, int);
+  static constexpr ColumnBlock kTailBlocks[8] = {
+      nullptr,
+      MatMulColumnBlockAvx2<1>,
+      MatMulColumnBlockAvx2<2>,
+      MatMulColumnBlockAvx2<3>,
+      MatMulColumnBlockAvx2<4>,
+      MatMulColumnBlockAvx2<5>,
+      MatMulColumnBlockAvx2<6>,
+      MatMulColumnBlockAvx2<7>};
+  const int tail_vectors = (n - nb) / 8;
+  if (tail_vectors > 0) {
+    kTailBlocks[tail_vectors](A, lda, B + nb, C + nb, row_begin, row_end, k,
+                              n);
+  }
+  nb += 8 * tail_vectors;
+  if (nb == n) return;
+  // The last n % 8 columns: scalar, k outermost so the columns' chains
+  // overlap.
+  const int tail = n - nb;
   for (size_t i = row_begin; i < row_end; ++i) {
-    const float* a_row = A + i * static_cast<size_t>(k);
-    float* c_row = C + i * static_cast<size_t>(n);
-    int nb = 0;
-    for (; nb + 64 <= n; nb += 64) {
-      float* c = c_row + nb;
-      __m256 acc0 = _mm256_loadu_ps(c);
-      __m256 acc1 = _mm256_loadu_ps(c + 8);
-      __m256 acc2 = _mm256_loadu_ps(c + 16);
-      __m256 acc3 = _mm256_loadu_ps(c + 24);
-      __m256 acc4 = _mm256_loadu_ps(c + 32);
-      __m256 acc5 = _mm256_loadu_ps(c + 40);
-      __m256 acc6 = _mm256_loadu_ps(c + 48);
-      __m256 acc7 = _mm256_loadu_ps(c + 56);
-      for (int kk = 0; kk < k; ++kk) {
-        const float av = a_row[kk];
-        if (av == 0.0f) continue;
-        const __m256 va = _mm256_set1_ps(av);
-        const float* b = B + static_cast<size_t>(kk) * n + nb;
-        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(va, _mm256_loadu_ps(b)));
-        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(va, _mm256_loadu_ps(b + 8)));
-        acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(va, _mm256_loadu_ps(b + 16)));
-        acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(va, _mm256_loadu_ps(b + 24)));
-        acc4 = _mm256_add_ps(acc4, _mm256_mul_ps(va, _mm256_loadu_ps(b + 32)));
-        acc5 = _mm256_add_ps(acc5, _mm256_mul_ps(va, _mm256_loadu_ps(b + 40)));
-        acc6 = _mm256_add_ps(acc6, _mm256_mul_ps(va, _mm256_loadu_ps(b + 48)));
-        acc7 = _mm256_add_ps(acc7, _mm256_mul_ps(va, _mm256_loadu_ps(b + 56)));
-      }
-      _mm256_storeu_ps(c, acc0);
-      _mm256_storeu_ps(c + 8, acc1);
-      _mm256_storeu_ps(c + 16, acc2);
-      _mm256_storeu_ps(c + 24, acc3);
-      _mm256_storeu_ps(c + 32, acc4);
-      _mm256_storeu_ps(c + 40, acc5);
-      _mm256_storeu_ps(c + 48, acc6);
-      _mm256_storeu_ps(c + 56, acc7);
+    const float* a_row = A + i * lda;
+    float* c = C + i * static_cast<size_t>(n) + nb;
+    float acc[8] = {};
+    for (int j = 0; j < tail; ++j) acc[j] = c[j];
+    for (int kk = 0; kk < k; ++kk) {
+      const float av = a_row[kk];
+      if (av == 0.0f) continue;
+      const float* b = B + static_cast<size_t>(kk) * n + nb;
+      for (int j = 0; j < tail; ++j) acc[j] += av * b[j];
     }
-    for (; nb + 8 <= n; nb += 8) {
-      __m256 acc = _mm256_loadu_ps(c_row + nb);
-      for (int kk = 0; kk < k; ++kk) {
-        const float av = a_row[kk];
-        if (av == 0.0f) continue;
-        acc = _mm256_add_ps(
-            acc, _mm256_mul_ps(_mm256_set1_ps(av),
-                               _mm256_loadu_ps(
-                                   B + static_cast<size_t>(kk) * n + nb)));
-      }
-      _mm256_storeu_ps(c_row + nb, acc);
-    }
-    for (; nb < n; ++nb) {
-      float acc = c_row[nb];
-      for (int kk = 0; kk < k; ++kk) {
-        const float av = a_row[kk];
-        if (av == 0.0f) continue;
-        acc += av * B[static_cast<size_t>(kk) * n + nb];
-      }
-      c_row[nb] = acc;
-    }
+    for (int j = 0; j < tail; ++j) c[j] = acc[j];
   }
 }
 
@@ -1128,16 +1197,17 @@ float Dot(const float* x, const float* y, size_t n) {
   return DotScalar(x, y, n);
 }
 
-void MatMulRows(const float* A, const float* B, float* C, size_t row_begin,
-                size_t row_end, int k, int n) {
+void MatMulRows(const float* A, size_t lda, const float* B, float* C,
+                size_t row_begin, size_t row_end, int k, int n) {
 #if SQLFACIL_X86
-  if (Enabled()) return MatMulRowsAvx2(A, B, C, row_begin, row_end, k, n);
+  if (Enabled())
+    return MatMulRowsAvx2(A, lda, B, C, row_begin, row_end, k, n);
 #endif
   constexpr int kTile = 128;
   for (int kb = 0; kb < k; kb += kTile) {
     const int ke = std::min(k, kb + kTile);
     for (size_t i = row_begin; i < row_end; ++i) {
-      const float* a_row = A + i * static_cast<size_t>(k);
+      const float* a_row = A + i * lda;
       float* c_row = C + i * static_cast<size_t>(n);
       for (int kk = kb; kk < ke; ++kk) {
         const float av = a_row[kk];

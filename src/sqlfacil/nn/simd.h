@@ -157,14 +157,25 @@ void AdaMaxStep(float* w, const float* g, float* m, float* u, float beta1,
 /// Canonical 8-lane dot product (see contract above).
 float Dot(const float* x, const float* y, size_t n);
 
-/// C[rb..re) += A[rb..re) @ B for an (m x k) @ (k x n) product, saxpy form
-/// with k-tiling: a tile of B rows stays cache-hot while it is reused
-/// across every row of the chunk. Per output element the accumulation runs
-/// over k ascending regardless of tiling, chunking, or SIMD, so the result
-/// is bit-identical across all of them. Rows of C depend only on the same
-/// row of A, so any row partition yields identical bits.
-void MatMulRows(const float* A, const float* B, float* C, size_t row_begin,
-                size_t row_end, int k, int n);
+/// C[rb..re) += A[rb..re) @ B for an (m x k) @ (k x n) product. Row i of A
+/// starts at A + i * lda; lda < k makes consecutive rows overlap, which is
+/// how a convolution reads the sliding windows of its input in place of an
+/// unfolded copy. C is dense (row stride n).
+///
+/// The scalar spec is the saxpy form with k-tiling; the AVX2 path holds
+/// register tiles of C across the whole k loop (simd.cc). Per output element
+/// the accumulation runs over k ascending, one rounding after each multiply
+/// and each add, zero A entries skipped, regardless of tiling, chunking, or
+/// SIMD, so the result is bit-identical across all of them. Rows of C depend
+/// only on the same row of A, so any row partition yields identical bits.
+void MatMulRows(const float* A, size_t lda, const float* B, float* C,
+                size_t row_begin, size_t row_end, int k, int n);
+
+/// MatMulRows over a dense A (lda = k).
+inline void MatMulRows(const float* A, const float* B, float* C,
+                       size_t row_begin, size_t row_end, int k, int n) {
+  MatMulRows(A, static_cast<size_t>(k), B, C, row_begin, row_end, k, n);
+}
 
 /// dA[rb..re) += G @ B^T for an (m x n) grad against a (k x n) B:
 /// dA[i][kk] += Dot(G[i, :], B[kk, :]). Row i of dA depends only on row i of

@@ -155,17 +155,25 @@ void SweepSimdAndThreads(const Config& config, const Dataset& train,
   ThreadPool::SetGlobalThreads(1);
 }
 
+// Conv widths (kernels_per_width) the CNN sweeps cover: 4 runs only the
+// scalar column tail of the matmul kernel, 48 is the served zoo default
+// (one 2x6 AVX2 register tile), 20 mixes a vector tile with a scalar tail.
+constexpr int kCnnKernelWidths[] = {4, 20, 48};
+
 TEST(DeterminismTest, CnnModelBitIdenticalAcrossSimdAndThreads) {
   const Dataset train = SyntheticClassification(30, 55);
   const Dataset valid = SyntheticClassification(10, 66);
-  models::CnnModel::Config config;
-  config.granularity = sql::Granularity::kWord;
-  config.embed_dim = 4;
-  config.kernels_per_width = 4;
-  config.widths = {2, 3};
-  config.epochs = 1;
-  config.batch_size = 8;
-  SweepSimdAndThreads<models::CnnModel>(config, train, valid);
+  for (int kernels : kCnnKernelWidths) {
+    SCOPED_TRACE("kernels_per_width=" + std::to_string(kernels));
+    models::CnnModel::Config config;
+    config.granularity = sql::Granularity::kWord;
+    config.embed_dim = 4;
+    config.kernels_per_width = kernels;
+    config.widths = {2, 3};
+    config.epochs = 1;
+    config.batch_size = 8;
+    SweepSimdAndThreads<models::CnnModel>(config, train, valid);
+  }
 }
 
 TEST(DeterminismTest, LstmModelBitIdenticalAcrossSimdAndThreads) {
@@ -255,14 +263,17 @@ TEST(DeterminismTest, TfidfTrainingSweepBitIdentical) {
 TEST(DeterminismTest, CnnTrainingSweepBitIdentical) {
   const Dataset train = SyntheticClassification(20, 103);
   const Dataset valid = SyntheticClassification(8, 104);
-  models::CnnModel::Config config;
-  config.granularity = sql::Granularity::kWord;
-  config.embed_dim = 4;
-  config.kernels_per_width = 4;
-  config.widths = {2, 3};
-  config.epochs = 2;
-  config.batch_size = 6;  // uneven final batch exercises ragged shards
-  TrainingSweep<models::CnnModel>(config, train, valid);
+  for (int kernels : kCnnKernelWidths) {
+    SCOPED_TRACE("kernels_per_width=" + std::to_string(kernels));
+    models::CnnModel::Config config;
+    config.granularity = sql::Granularity::kWord;
+    config.embed_dim = 4;
+    config.kernels_per_width = kernels;
+    config.widths = {2, 3};
+    config.epochs = 2;
+    config.batch_size = 6;  // uneven final batch exercises ragged shards
+    TrainingSweep<models::CnnModel>(config, train, valid);
+  }
 }
 
 TEST(DeterminismTest, LstmTrainingSweepBitIdentical) {

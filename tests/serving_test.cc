@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <future>
@@ -25,6 +27,7 @@
 #include "sqlfacil/models/lstm_model.h"
 #include "sqlfacil/models/tfidf_model.h"
 #include "sqlfacil/nn/arena.h"
+#include "sqlfacil/nn/infer.h"
 #include "sqlfacil/nn/simd.h"
 #include "sqlfacil/serving/admission_queue.h"
 #include "sqlfacil/serving/cached_model.h"
@@ -189,21 +192,92 @@ TEST(SimdTest, KernelsBitIdenticalAcrossDispatch) {
   }
 }
 
+uint32_t Bits(float v) { return std::bit_cast<uint32_t>(v); }
+
+// Scalar spec against the AVX2 register tiles, bitwise, over every column
+// count 1..72 (each tail tile NV = 1..7 and each scalar tail of 1..7
+// columns, alone and after a 64-column block) plus wider multiples, every
+// row-tile remainder, row_begin > 0, a nonzero starting C and zeros
+// scattered through A. Row 0 of each range is all zeros over a C of -0.0:
+// adding the skipped +0 products would turn those into +0.
 TEST(SimdTest, MatMulRowsBitIdenticalAcrossDispatch) {
   if (!nn::simd::HasAvx2()) GTEST_SKIP() << "no AVX2 on this host";
   SimdGuard guard;
   Rng rng(321);
-  const int m = 13, k = 37, n = 21;
-  std::vector<float> A(m * k), B(k * n);
-  for (auto& v : A) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
-  for (auto& v : B) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
-  A[5] = 0.0f;  // exercise the zero-skip path
-  std::vector<float> c_scalar(m * n, 0.0f), c_avx2(m * n, 0.0f);
-  nn::simd::SetEnabled(false);
-  nn::simd::MatMulRows(A.data(), B.data(), c_scalar.data(), 0, m, k, n);
-  nn::simd::SetEnabled(true);
-  nn::simd::MatMulRows(A.data(), B.data(), c_avx2.data(), 0, m, k, n);
-  for (int i = 0; i < m * n; ++i) EXPECT_EQ(c_scalar[i], c_avx2[i]);
+  std::vector<int> widths;
+  for (int n = 1; n <= 72; ++n) widths.push_back(n);
+  for (int n : {96, 128, 192}) widths.push_back(n);
+  const int k = 37;
+  const size_t row_begin = 2;
+  for (int m : {1, 2, 3, 5, 13}) {
+    const size_t rows = row_begin + static_cast<size_t>(m);
+    for (int n : widths) {
+      std::vector<float> A(rows * k), B(static_cast<size_t>(k) * n),
+          c0(rows * n);
+      for (auto& v : A) {
+        v = rng.Bernoulli(0.1) ? 0.0f
+                               : static_cast<float>(rng.Uniform(-1.0, 1.0));
+      }
+      for (auto& v : B) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+      for (auto& v : c0) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+      std::fill_n(A.begin() + row_begin * k, k, 0.0f);
+      std::fill_n(c0.begin() + row_begin * n, n, -0.0f);
+      std::vector<float> c_scalar = c0, c_avx2 = c0;
+      nn::simd::SetEnabled(false);
+      nn::simd::MatMulRows(A.data(), B.data(), c_scalar.data(), row_begin,
+                           rows, k, n);
+      nn::simd::SetEnabled(true);
+      nn::simd::MatMulRows(A.data(), B.data(), c_avx2.data(), row_begin,
+                           rows, k, n);
+      for (size_t i = 0; i < c0.size(); ++i) {
+        ASSERT_EQ(Bits(c_scalar[i]), Bits(c_avx2[i]))
+            << "m=" << m << " n=" << n << " element " << i;
+      }
+      for (size_t i = 0; i < row_begin * n; ++i) {
+        ASSERT_EQ(Bits(c0[i]), Bits(c_avx2[i])) << "row before row_begin";
+      }
+      for (size_t i = row_begin * n; i < (row_begin + 1) * n; ++i) {
+        ASSERT_EQ(Bits(-0.0f), Bits(c_avx2[i])) << "zero row of A";
+      }
+    }
+  }
+}
+
+// The strided-A form reads sliding windows in place: it must equal the
+// dense kernel run over the materialised nn::infer::Unfold, on both paths.
+TEST(SimdTest, MatMulRowsStridedMatchesUnfold) {
+  SimdGuard guard;
+  Rng rng(322);
+  const int t = 23, d = 16;
+  std::vector<float> in(static_cast<size_t>(t) * d);
+  for (auto& v : in) {
+    v = rng.Bernoulli(0.05) ? 0.0f
+                            : static_cast<float>(rng.Uniform(-1.0, 1.0));
+  }
+  for (bool simd_on : {false, true}) {
+    if (simd_on && !nn::simd::HasAvx2()) continue;
+    nn::simd::SetEnabled(simd_on);
+    for (int window : {1, 3, 5}) {
+      for (int n : {7, 20, 48, 72}) {
+        const int rows = t - window + 1;
+        const int k = window * d;
+        std::vector<float> B(static_cast<size_t>(k) * n);
+        for (auto& v : B) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+        std::vector<float> windows(static_cast<size_t>(rows) * k);
+        nn::infer::Unfold(in.data(), t, d, window, windows.data());
+        std::vector<float> dense(static_cast<size_t>(rows) * n, 0.0f);
+        std::vector<float> strided = dense;
+        nn::simd::MatMulRows(windows.data(), B.data(), dense.data(), 0, rows,
+                             k, n);
+        nn::simd::MatMulRows(in.data(), d, B.data(), strided.data(), 0, rows,
+                             k, n);
+        for (size_t i = 0; i < dense.size(); ++i) {
+          ASSERT_EQ(Bits(dense[i]), Bits(strided[i]))
+              << "simd=" << simd_on << " window=" << window << " n=" << n;
+        }
+      }
+    }
+  }
 }
 
 // --- PredictBatch == Predict ----------------------------------------------
@@ -221,21 +295,29 @@ TEST(PredictBatchTest, TfidfMatchesPredict) {
                      PredictLoop(model, test.statements));
 }
 
+// Conv widths (kernels_per_width) the CNN tests cover: 4 runs only the
+// scalar column tail, 48 is the served zoo default (one 2x6 register tile),
+// 20 mixes a vector tile with a scalar tail.
+constexpr int kCnnKernelWidths[] = {4, 20, 48};
+
 TEST(PredictBatchTest, CnnMatchesPredict) {
   const Dataset train = SyntheticClassification(40, 3);
   const Dataset test = SyntheticClassification(40, 4);
-  models::CnnModel::Config config;
-  config.granularity = sql::Granularity::kWord;
-  config.embed_dim = 4;
-  config.kernels_per_width = 4;
-  config.widths = {2, 3};
-  config.epochs = 1;
-  models::CnnModel model(config);
-  Rng rng(7);
-  model.Fit(train, train, &rng);
-  // 40 queries > the 32-query slice, so slicing boundaries are exercised.
-  ExpectBitIdentical(model.PredictBatch(test.statements),
-                     PredictLoop(model, test.statements));
+  for (int kernels : kCnnKernelWidths) {
+    SCOPED_TRACE("kernels_per_width=" + std::to_string(kernels));
+    models::CnnModel::Config config;
+    config.granularity = sql::Granularity::kWord;
+    config.embed_dim = 4;
+    config.kernels_per_width = kernels;
+    config.widths = {2, 3};
+    config.epochs = 1;
+    models::CnnModel model(config);
+    Rng rng(7);
+    model.Fit(train, train, &rng);
+    // 40 queries > the 32-query slice, so slicing boundaries are exercised.
+    ExpectBitIdentical(model.PredictBatch(test.statements),
+                       PredictLoop(model, test.statements));
+  }
 }
 
 TEST(PredictBatchTest, LstmMatchesPredict) {
@@ -293,21 +375,24 @@ TEST(PredictBatchTest, LstmEdgeCases) {
 TEST(PredictBatchTest, BitIdenticalAcrossThreadCounts) {
   const Dataset train = SyntheticClassification(40, 9);
   const Dataset test = SyntheticClassification(40, 10);
-  models::CnnModel::Config config;
-  config.granularity = sql::Granularity::kWord;
-  config.embed_dim = 4;
-  config.kernels_per_width = 4;
-  config.widths = {2, 3};
-  config.epochs = 1;
-  models::CnnModel model(config);
-  Rng rng(7);
-  model.Fit(train, train, &rng);
-  ThreadPool::SetGlobalThreads(1);
-  const auto serial = model.PredictBatch(test.statements);
-  ThreadPool::SetGlobalThreads(8);
-  const auto parallel = model.PredictBatch(test.statements);
-  ThreadPool::SetGlobalThreads(1);
-  ExpectBitIdentical(serial, parallel);
+  for (int kernels : kCnnKernelWidths) {
+    SCOPED_TRACE("kernels_per_width=" + std::to_string(kernels));
+    models::CnnModel::Config config;
+    config.granularity = sql::Granularity::kWord;
+    config.embed_dim = 4;
+    config.kernels_per_width = kernels;
+    config.widths = {2, 3};
+    config.epochs = 1;
+    models::CnnModel model(config);
+    Rng rng(7);
+    model.Fit(train, train, &rng);
+    ThreadPool::SetGlobalThreads(1);
+    const auto serial = model.PredictBatch(test.statements);
+    ThreadPool::SetGlobalThreads(8);
+    const auto parallel = model.PredictBatch(test.statements);
+    ThreadPool::SetGlobalThreads(1);
+    ExpectBitIdentical(serial, parallel);
+  }
 }
 
 // --- Prediction cache ------------------------------------------------------
