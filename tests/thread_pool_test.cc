@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace sqlfacil {
@@ -160,6 +161,15 @@ TEST(ThreadPoolTest, ThrowingTaskDoesNotKillWorkerOrProcess) {
     std::unique_lock<std::mutex> lock(mu);
     ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
                             [&] { return completed.load() == 3; }));
+  }
+  // The signals finishing does not mean the throwing tasks have: one worker
+  // can still be unwinding the last throw while the other runs all three
+  // signals. Wait for the count to arrive before checking it is exact.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (pool.uncaught_task_errors() < 4u &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(pool.uncaught_task_errors(), 4u);
   // Still reusable after the failures.
