@@ -1,8 +1,8 @@
 // Micro-benchmarks of the serving fast path: single-query Predict latency
 // (p50/p99), batched PredictBatch throughput vs a per-query Predict loop,
 // the prediction cache at hit rates 0% / 50% / 90%, and the full serving
-// front end (serving::Server) under closed-loop concurrent clients with the
-// micro-batch window on vs off.
+// front end (serving::Server) under closed-loop concurrent clients at
+// max_batch 1 (per-query) and 4.
 
 #include <benchmark/benchmark.h>
 
@@ -239,9 +239,9 @@ BENCHMARK(BM_CachedBatch_clstm)
     ->UseManualTime()
     ->Unit(benchmark::kMicrosecond);
 
-// Full serving front end under closed-loop concurrent clients. Arg(0) is the
-// per-query baseline (batch window off); Arg(N) opens an N-microsecond batch
-// window so concurrent arrivals coalesce into PredictBatch flushes. One
+// Full serving front end under closed-loop concurrent clients. Arg is
+// max_batch: Arg(1) is the per-query baseline; Arg(N) lets the batcher flush
+// up to N already-queued requests into one PredictBatch call. One
 // iteration = every client serving its whole slice, so items/s is end-to-end
 // server throughput and the counters expose client-observed percentiles plus
 // the realized mean batch size.
@@ -261,10 +261,7 @@ void ServerClosedLoop(benchmark::State& state) {
 
   serving::ServerOptions options;
   options.num_shards = 2;
-  // Small enough that the closed-loop client pool can complete a batch
-  // before the window expires (threshold wake-up, not a timeout flush).
-  options.max_batch = 4;
-  options.batch_window_us = state.range(0);
+  options.max_batch = static_cast<size_t>(state.range(0));
   serving::Server server(
       [&](size_t) {
         return std::make_unique<serving::ResilientModel>(
@@ -307,8 +304,8 @@ void ServerClosedLoop(benchmark::State& state) {
 }
 BENCHMARK(ServerClosedLoop)
     ->Name("BM_ServerClosedLoop_ccnn")
-    ->Arg(0)
-    ->Arg(200)
+    ->Arg(1)
+    ->Arg(4)
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 

@@ -55,10 +55,9 @@ if [ "${1:-}" = "--json" ]; then
       --benchmark_out_format=json >/dev/null 2>&1 || exit 1
   done
   # Closed-loop load through the full serving front end: three arrival
-  # rates (0 = unpaced max) x {fp32, int8}, plus a per-query (window = 0)
-  # baseline at the highest-concurrency point per tier.
-  # --max-batch 16: with 2 shards x 64 clients, batches of 16 complete by
-  # threshold wake-up inside the window instead of waiting out the timeout.
+  # rates (0 = unpaced max) x {fp32, int8} at --max-batch 16, plus a
+  # per-query (max_batch = 1) baseline at the highest-concurrency point per
+  # tier.
   echo "running serve_bench (json)..."
   "$BUILD_DIR/tools/serve_bench" --duration-s 1.5 --warmup-s 1.0 \
     --max-batch 16 --json bench_logs/serve_bench.json >/dev/null 2>&1 \

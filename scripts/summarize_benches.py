@@ -13,9 +13,9 @@ and the fp32-vs-int8 accuracy deltas).
 A serve_bench --json report (detected by its top-level "runs" array) may
 be passed alongside the google-benchmark files: its closed-loop load
 results are embedded under "serving" and distilled into per-rate
-qps / p50 / p99 / p999 metrics, the micro-batching speedup over the
-per-query (window = 0) configuration, and the p99-vs-SLO verdict at the
-middle paced rate, per precision tier.
+qps / p50 / p99 / p999 metrics, the batching speedup over the per-query
+(max_batch = 1) configuration, and the p99-vs-SLO verdict at the middle
+paced rate, per precision tier.
 """
 
 import json
@@ -90,10 +90,10 @@ def main(paths):
                     b["items_per_second"], 1
                 )
     # Serving front end (Server): closed-loop clients through the admission
-    # queue + micro-batcher + shard pool, window on vs off (micro_serving).
-    sc_off = serving.get("BM_ServerClosedLoop_ccnn/0/real_time")
-    sc_on = serving.get("BM_ServerClosedLoop_ccnn/200/real_time")
-    for label, b in (("perquery", sc_off), ("window200", sc_on)):
+    # queue + batcher + shard pool, max_batch 1 vs 4 (micro_serving).
+    sc_off = serving.get("BM_ServerClosedLoop_ccnn/1/real_time")
+    sc_on = serving.get("BM_ServerClosedLoop_ccnn/4/real_time")
+    for label, b in (("perquery", sc_off), ("batch4", sc_on)):
         if b and b.get("items_per_second"):
             out["derived"][f"server_closed_loop_{label}_items_per_s"] = round(
                 b["items_per_second"], 1
@@ -107,24 +107,16 @@ def main(paths):
         )
 
     # serve_bench load-generator report: per precision x rate QPS and
-    # latency percentiles, the micro-batching speedup over window = 0, and
+    # latency percentiles, the batching speedup over max_batch = 1, and
     # the SLO verdict at the middle paced rate (mirrors serve_bench's own
     # greppable summary lines).
     sb = out.get("serving")
     if sb:
-        sb.setdefault(
-            "note",
-            "measured on a single-core container: PredictBatch's ParallelFor"
-            " fan-out cannot engage and a saturated per-query server already"
-            " self-batches at the scheduler level, capping the micro-batching"
-            " speedup near 1.1-1.3x; the >=2x design target needs a"
-            " multi-core host (see DESIGN.md 'Serving front end')",
-        )
         runs = sb.get("runs", [])
         slo_us = sb.get("config", {}).get("slo_us")
         for r in runs:
             rate = "max" if r["rate_qps"] == 0 else str(int(r["rate_qps"]))
-            tag = f"serve_{r['precision']}_rate{rate}_w{r['window_us']}"
+            tag = f"serve_{r['precision']}_rate{rate}_b{r['max_batch']}"
             out["derived"][f"{tag}_qps"] = round(r["qps"], 1)
             out["derived"][f"{tag}_p50_us"] = round(r["p50_us"], 1)
             out["derived"][f"{tag}_p99_us"] = round(r["p99_us"], 1)
@@ -158,8 +150,8 @@ def main(paths):
                 )
         for prec in ("fp32", "int8"):
             mine = [r for r in runs if r["precision"] == prec]
-            batched = [r for r in mine if r["window_us"] != 0]
-            perquery = [r for r in mine if r["window_us"] == 0]
+            batched = [r for r in mine if r["max_batch"] != 1]
+            perquery = [r for r in mine if r["max_batch"] == 1]
             if batched and perquery and perquery[0]["qps"]:
                 best = max(r["qps"] for r in batched)
                 out["derived"][f"serve_{prec}_batching_speedup"] = round(

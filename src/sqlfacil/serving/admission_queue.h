@@ -1,7 +1,6 @@
 #ifndef SQLFACIL_SERVING_ADMISSION_QUEUE_H_
 #define SQLFACIL_SERVING_ADMISSION_QUEUE_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -17,11 +16,12 @@ namespace sqlfacil::serving {
 /// surfaces as fast rejection instead of unbounded queueing delay
 /// (load-shedding at the door, not at the tail).
 ///
-/// The consumer side is built for a micro-batcher: PopWait blocks for the
-/// batch's first request, then PopUpTo greedily drains whatever is already
-/// queued and waits out the remainder of the batch window for stragglers.
-/// Close() ends admission but lets consumers drain every queued item before
-/// PopWait returns false — shutdown never drops an accepted request.
+/// The consumer side is built for a greedy batcher: PopBatch blocks for the
+/// batch's first request, then takes whatever else is already queued and
+/// returns at once — no timer, so a request is never held back waiting for
+/// company. Close() ends admission but lets consumers drain every queued
+/// item before PopBatch returns false — shutdown never drops an accepted
+/// request.
 template <typename T>
 class AdmissionQueue {
  public:
@@ -31,86 +31,41 @@ class AdmissionQueue {
   AdmissionQueue& operator=(const AdmissionQueue&) = delete;
 
   /// Enqueues unless the queue is full or closed; never blocks. Returns
-  /// whether the item was admitted.
-  bool TryPush(T item) {
-    bool wake_batcher = false;
+  /// whether the item was admitted. `item` is moved from only on admission,
+  /// so a rejected caller still owns it intact.
+  bool TryPush(T&& item) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (closed_ || items_.size() >= depth_) return false;
       items_.push_back(std::move(item));
-      // Only wake a window-waiting batcher once the queue can complete its
-      // batch: stragglers accumulate silently and are drained in one pop at
-      // the window edge instead of costing a consumer wakeup each (on a
-      // loaded box those per-item wakeups are the difference between
-      // batching paying for itself and batching losing to per-query).
-      wake_batcher = items_.size() >= batch_threshold_;
     }
     cv_.notify_one();
-    if (wake_batcher) batch_cv_.notify_one();
     return true;
   }
 
-  /// Blocks until an item is available (returns true) or the queue is closed
-  /// AND fully drained (returns false).
-  bool PopWait(T* out) {
+  /// Blocks until at least one item is queued, then appends it and up to
+  /// `max - 1` (`max` >= 1) further already-queued items to `*out` without
+  /// waiting for more. Returns false only when the queue is closed AND
+  /// fully drained.
+  bool PopBatch(std::vector<T>* out, size_t max) {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [&] { return closed_ || !items_.empty(); });
     if (items_.empty()) return false;
-    *out = std::move(items_.front());
-    items_.pop_front();
+    for (size_t n = 0; n < max && !items_.empty(); ++n) {
+      out->push_back(std::move(items_.front()));
+      items_.pop_front();
+    }
     return true;
   }
 
-  /// Appends up to `max_more` further items to `*out`: everything already
-  /// queued immediately, then waits until `deadline` for stragglers. Returns
-  /// the number popped. Returns early when the queue is closed and empty
-  /// (no producer can ever arrive).
-  ///
-  /// The wait is threshold-gated: producers arriving mid-window do NOT wake
-  /// this consumer (they queue silently); the consumer wakes only when the
-  /// queue holds enough to complete the batch, on close, or at `deadline`,
-  /// then drains whatever arrived in one pass. One wakeup per window, not
-  /// one per straggler.
-  size_t PopUpTo(std::vector<T>* out, size_t max_more,
-                 std::chrono::steady_clock::time_point deadline) {
-    size_t popped = 0;
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      while (popped < max_more && !items_.empty()) {
-        out->push_back(std::move(items_.front()));
-        items_.pop_front();
-        ++popped;
-      }
-      if (popped >= max_more || closed_) break;
-      batch_threshold_ = max_more - popped;
-      const bool ready = batch_cv_.wait_until(lock, deadline, [&] {
-        return closed_ || items_.size() >= batch_threshold_;
-      });
-      batch_threshold_ = kNoThreshold;
-      if (!ready) {
-        // Window expired: take the sub-threshold stragglers that queued
-        // silently while we slept.
-        while (popped < max_more && !items_.empty()) {
-          out->push_back(std::move(items_.front()));
-          items_.pop_front();
-          ++popped;
-        }
-        break;
-      }
-    }
-    batch_threshold_ = kNoThreshold;
-    return popped;
-  }
-
   /// Stops admission (TryPush fails from here on) and wakes every waiting
-  /// consumer so queued items drain and PopWait can return false.
+  /// consumer so queued items drain and PopBatch can return false.
   void Close() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       closed_ = true;
     }
     cv_.notify_all();
-    batch_cv_.notify_all();
   }
 
   size_t size() const {
@@ -118,24 +73,11 @@ class AdmissionQueue {
     return items_.size();
   }
 
-  size_t depth() const { return depth_; }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-
  private:
-  static constexpr size_t kNoThreshold = static_cast<size_t>(-1);
-
   const size_t depth_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  /// Woken only when `items_.size() >= batch_threshold_` (or on Close), so a
-  /// window-waiting batcher sleeps through sub-threshold arrivals.
-  std::condition_variable batch_cv_;
   std::deque<T> items_;
-  size_t batch_threshold_ = kNoThreshold;  // guarded by mu_
   bool closed_ = false;
 };
 

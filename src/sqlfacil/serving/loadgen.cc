@@ -119,6 +119,10 @@ LoadReport RunLoadGen(Server& server, const LoadGenOptions& options) {
         const Clock::time_point t0 = Clock::now();
         const ServerReply reply = server.Call(q, 0.0, options.deadline_us);
         const Clock::time_point t1 = Clock::now();
+        if (reply.status.code() == StatusCode::kUnavailable &&
+            train::DrainRequested()) {
+          break;  // the drain that ends the run landed after the loop check
+        }
         if (t1 < measure_start) continue;  // warmup traffic is not recorded
         ++res.issued;
         switch (reply.status.code()) {

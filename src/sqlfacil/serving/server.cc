@@ -11,7 +11,6 @@ namespace sqlfacil::serving {
 
 ServerOptions ServerOptions::FromEnv() {
   ServerOptions options;
-  options.batch_window_us = GetBatchWindowUsFromEnv(options.batch_window_us);
   options.max_batch =
       static_cast<size_t>(GetMaxBatchFromEnv(static_cast<int>(options.max_batch)));
   options.queue_depth = static_cast<size_t>(
@@ -76,17 +75,19 @@ bool Server::Submit(std::string statement, double opt_cost,
   }
   req.done = std::move(done);
   Shard& shard = *shards_[ShardFor(req.statement)];
-  // Move the callback back out on rejection: TryPush only consumes the
-  // request when it admits it.
-  ReplyCallback cb = req.done;
+  // Count the request before the batcher can serve it, so a GetStats
+  // snapshot never shows more completions than acceptances; a rejection
+  // takes the count back. TryPush moves from `req` only when it admits it,
+  // so a rejection is still answered through the request's own callback.
+  accepted_.fetch_add(1, std::memory_order_relaxed);
   if (!shard.queue.TryPush(std::move(req))) {
+    accepted_.fetch_sub(1, std::memory_order_relaxed);
     rejected_queue_full_.fetch_add(1, std::memory_order_relaxed);
     ServerReply reply;
     reply.status = Status::ResourceExhausted("admission queue full");
-    cb(std::move(reply));
+    req.done(std::move(reply));
     return false;
   }
-  accepted_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -102,39 +103,35 @@ ServerReply Server::Call(const std::string& statement, double opt_cost,
 }
 
 void Server::WorkerLoop(Shard* shard) {
-  const bool batching = options_.batch_window_us > 0 && options_.max_batch > 1;
-  Request first;
-  while (shard->queue.PopWait(&first)) {
+  // Greedy batching: block for the first request, take whatever else is
+  // already queued (up to max_batch) and flush at once. Under load the queue
+  // refills while the model runs, so batches fill from queue depth alone.
+  for (;;) {
     std::vector<Request> batch;
-    batch.reserve(batching ? options_.max_batch : 1);
-    batch.push_back(std::move(first));
-    if (batching) {
-      // The window opens when the batch's first request is popped; the
-      // batcher greedily takes whatever is already queued, then waits out
-      // the remainder of the window for stragglers (or until max_batch).
-      const auto window_end =
-          Clock::now() + std::chrono::microseconds(options_.batch_window_us);
-      shard->queue.PopUpTo(&batch, options_.max_batch - 1, window_end);
-    }
+    batch.reserve(options_.max_batch);
+    if (!shard->queue.PopBatch(&batch, options_.max_batch)) return;
     ServeBatch(shard, std::move(batch));
   }
 }
 
 void Server::ServeBatch(Shard* shard, std::vector<Request> batch) {
   const Clock::time_point formed = Clock::now();
-  // Deadline triage: a request that expired while the window was open is
-  // answered immediately and never occupies a slot in the model batch.
+  // Deadline triage: a request that expired while queued (e.g. behind a busy
+  // model) is answered immediately and never occupies a model batch slot.
   std::vector<size_t> live;
   live.reserve(batch.size());
   std::vector<std::string> statements;
   std::vector<double> opt_costs;
-  size_t expired = 0;
   for (size_t i = 0; i < batch.size(); ++i) {
     if (batch[i].deadline < formed) {
-      ++expired;
+      {
+        // Counted before the reply, like served requests below, so a
+        // caller that has its reply also sees it in GetStats.
+        std::lock_guard<std::mutex> lock(shard->stats_mu);
+        ++shard->expired;
+      }
       ServerReply reply;
-      reply.status =
-          Status::DeadlineExceeded("deadline expired in batch window");
+      reply.status = Status::DeadlineExceeded("deadline expired while queued");
       reply.queue_us = std::chrono::duration<double, std::micro>(
                            formed - batch[i].enqueue)
                            .count();
@@ -156,23 +153,20 @@ void Server::ServeBatch(Shard* shard, std::vector<Request> batch) {
   }
   const Clock::time_point done = Clock::now();
 
-  {
+  if (!live.empty()) {
     std::lock_guard<std::mutex> lock(shard->stats_mu);
-    shard->expired += expired;
-    if (!live.empty()) {
-      ++shard->batches;
-      shard->batched_requests += live.size();
-      shard->completed += live.size();
-      for (size_t i : live) {
-        shard->queue_ns.Record(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                formed - batch[i].enqueue)
-                .count()));
-        shard->total_ns.Record(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                done - batch[i].enqueue)
-                .count()));
-      }
+    ++shard->batches;
+    shard->batched_requests += live.size();
+    shard->completed += live.size();
+    for (size_t i : live) {
+      shard->queue_ns.Record(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              formed - batch[i].enqueue)
+              .count()));
+      shard->total_ns.Record(static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              done - batch[i].enqueue)
+              .count()));
     }
   }
 
@@ -210,7 +204,6 @@ void Server::Shutdown() {
 
 Server::Stats Server::GetStats() const {
   Stats stats;
-  stats.accepted = accepted_.load(std::memory_order_relaxed);
   stats.rejected_queue_full =
       rejected_queue_full_.load(std::memory_order_relaxed);
   stats.rejected_unavailable =
@@ -242,6 +235,9 @@ Server::Stats Server::GetStats() const {
     stats.breaker.half_opens += transitions.half_opens;
     stats.breaker.closes += transitions.closes;
   }
+  // Read after the shard counters: every request counted completed above
+  // was counted accepted before it was queued.
+  stats.accepted = accepted_.load(std::memory_order_relaxed);
   stats.mean_batch_size =
       stats.batches == 0
           ? 0.0

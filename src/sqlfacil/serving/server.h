@@ -59,9 +59,9 @@ class ModelRef : public models::Model {
   models::Model* inner_;
 };
 
-/// Server configuration. The three load-facing knobs mirror the
-/// SQLFACIL_BATCH_WINDOW_US / SQLFACIL_MAX_BATCH / SQLFACIL_QUEUE_DEPTH
-/// environment variables (FromEnv reads them).
+/// Server configuration. The two load-facing knobs mirror the
+/// SQLFACIL_MAX_BATCH / SQLFACIL_QUEUE_DEPTH environment variables (FromEnv
+/// reads them).
 struct ServerOptions {
   /// Worker shards. Each shard owns a batcher thread, a bounded admission
   /// queue and a ResilientModel; requests route to shards by statement hash
@@ -70,19 +70,15 @@ struct ServerOptions {
   /// Per-shard admission queue bound; a full queue rejects with
   /// kResourceExhausted instead of blocking (load shedding at the door).
   size_t queue_depth = 1024;
-  /// Largest batch flushed into PredictBatch.
+  /// Largest batch flushed into PredictBatch. 1 serves every request alone
+  /// (the per-query baseline configuration).
   size_t max_batch = 32;
-  /// How long a partial batch stays open for more requests, measured from
-  /// the moment the batch's first request is popped. 0 disables coalescing:
-  /// every request is served alone (the per-query baseline configuration).
-  int64_t batch_window_us = 50;
   /// Default per-request deadline (admission to reply), 0 = none. A request
-  /// whose deadline expires while it waits in a batch window is answered
-  /// with kDeadlineExceeded and never reaches the model.
+  /// whose deadline expires while it waits in the queue is answered with
+  /// kDeadlineExceeded and never reaches the model.
   int64_t default_deadline_us = 0;
 
-  /// Defaults with batch_window_us / max_batch / queue_depth overridden from
-  /// the environment.
+  /// Defaults with max_batch / queue_depth overridden from the environment.
   static ServerOptions FromEnv();
 };
 
@@ -100,23 +96,23 @@ struct ServerReply {
   double total_us = 0.0;  ///< admission -> reply
 };
 
-/// Production serving front end (ISSUE 7 tentpole): a multi-threaded request
-/// router with
+/// Production serving front end: a multi-threaded request router with
 ///   * bounded admission (reject-with-status when full, never block),
-///   * a deadline-aware dynamic micro-batcher per shard that coalesces
-///     concurrent single-query requests within `batch_window_us` (or until
-///     `max_batch`) and flushes them through the model's PredictBatch fast
-///     path (length-bucketed int8 LSTM, stacked-CNN slices),
+///   * a deadline-aware greedy batcher per shard: it blocks for one request,
+///     takes up to `max_batch - 1` more that are already queued, and flushes
+///     them at once through the model's PredictBatch fast path
+///     (length-bucketed int8 LSTM, stacked-CNN slices) — it never waits for
+///     a batch to fill, so batches are as large as the backlog and no larger,
 ///   * a per-model shard pool of ResilientModels — the degradation chain and
-///     circuit breaker of PR 4 are preserved *per shard*, so one shard's
+///     circuit breaker are preserved *per shard*, so one shard's
 ///     breaker opening does not blind the others,
 ///   * merged latency telemetry (log-bucketed histograms, p50/p99/p999).
 ///
 /// Determinism contract: a reply's prediction bits equal
 /// Model::Predict(statement) under the active precision tier regardless of
 /// batch composition — PredictBatch guarantees per-slot bit-identity with
-/// Predict, and the batcher only permutes batch membership. Turning the
-/// batch window on or off therefore never changes any answer, only latency.
+/// Predict, and the batcher only permutes batch membership. Changing
+/// `max_batch` therefore never changes any answer, only latency.
 ///
 /// Callbacks run on the shard's batcher thread and must be cheap and
 /// non-blocking (fulfil a promise, record a latency); heavy post-processing
@@ -166,7 +162,7 @@ class Server {
     uint64_t accepted = 0;
     uint64_t rejected_queue_full = 0;
     uint64_t rejected_unavailable = 0;
-    uint64_t expired = 0;    ///< deadline passed inside a batch window
+    uint64_t expired = 0;    ///< deadline passed while queued
     uint64_t completed = 0;  ///< replies that reached the model chain
     uint64_t batches = 0;    ///< PredictBatch flushes
     double mean_batch_size = 0.0;

@@ -583,7 +583,6 @@ TEST(LifecycleConcurrencyTest, SwapStormNeverFailsARequest) {
   serving::ServerOptions options;
   options.num_shards = 2;
   options.queue_depth = 4096;
-  options.batch_window_us = 50;
   serving::Server server(
       [&](size_t) {
         Rng rng(17);

@@ -551,79 +551,73 @@ TEST(CachedModelTest, OptCostIsPartOfTheKey) {
 // --- AdmissionQueue --------------------------------------------------------
 
 TEST(AdmissionQueueTest, TryPushRejectsWhenFullNeverBlocks) {
-  serving::AdmissionQueue<int> queue(2);
-  EXPECT_TRUE(queue.TryPush(1));
-  EXPECT_TRUE(queue.TryPush(2));
+  serving::AdmissionQueue<std::string> queue(2);
+  EXPECT_TRUE(queue.TryPush("one"));
+  EXPECT_TRUE(queue.TryPush("two"));
+  std::string rejected = "three";
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(queue.TryPush(3));
+  EXPECT_FALSE(queue.TryPush(std::move(rejected)));
   EXPECT_LT(std::chrono::steady_clock::now() - t0,
             std::chrono::milliseconds(100));
+  // A rejected item is not consumed: the caller still owns it intact.
+  EXPECT_EQ(rejected, "three");
   EXPECT_EQ(queue.size(), 2u);
-  int out = 0;
-  EXPECT_TRUE(queue.PopWait(&out));
-  EXPECT_EQ(out, 1);
-  EXPECT_TRUE(queue.TryPush(3));  // space again after a pop
+  std::vector<std::string> out;
+  EXPECT_TRUE(queue.PopBatch(&out, 1));
+  EXPECT_EQ(out, (std::vector<std::string>{"one"}));
+  EXPECT_TRUE(queue.TryPush(std::move(rejected)));  // space after a pop
+  EXPECT_EQ(queue.size(), 2u);
 }
 
-TEST(AdmissionQueueTest, CloseDrainsThenPopWaitReturnsFalse) {
+TEST(AdmissionQueueTest, CloseDrainsThenPopBatchReturnsFalse) {
   serving::AdmissionQueue<int> queue(4);
   EXPECT_TRUE(queue.TryPush(7));
+  EXPECT_TRUE(queue.TryPush(8));
   queue.Close();
-  EXPECT_FALSE(queue.TryPush(8));  // no admission after close
-  int out = 0;
-  EXPECT_TRUE(queue.PopWait(&out));  // queued item still drains
-  EXPECT_EQ(out, 7);
-  EXPECT_FALSE(queue.PopWait(&out));  // drained + closed -> done
+  EXPECT_FALSE(queue.TryPush(9));  // no admission after close
+  std::vector<int> out;
+  EXPECT_TRUE(queue.PopBatch(&out, 1));  // queued items still drain
+  EXPECT_TRUE(queue.PopBatch(&out, 1));
+  EXPECT_EQ(out, (std::vector<int>{7, 8}));
+  EXPECT_FALSE(queue.PopBatch(&out, 1));  // drained + closed -> done
+  EXPECT_EQ(out.size(), 2u);
 }
 
-TEST(AdmissionQueueTest, PopUpToTakesQueuedItemsWithoutWaiting) {
+TEST(AdmissionQueueTest, PopBatchTakesQueuedItemsUpToMaxWithoutWaiting) {
   serving::AdmissionQueue<int> queue(8);
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(queue.TryPush(i));
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(queue.TryPush(int{i}));
   std::vector<int> out;
-  // Deadline already passed: the greedy drain must still take everything
-  // queued, with no window sleep.
+  // Fewer queued than max: take them all and return at once, with no wait
+  // for the batch to fill.
   const auto t0 = std::chrono::steady_clock::now();
-  const size_t popped =
-      queue.PopUpTo(&out, 8, std::chrono::steady_clock::now());
+  ASSERT_TRUE(queue.PopBatch(&out, 3));
+  EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));  // capped at max
+  out.clear();
+  ASSERT_TRUE(queue.PopBatch(&out, 8));
+  EXPECT_EQ(out, (std::vector<int>{3, 4}));  // partial batch, no wait
   EXPECT_LT(std::chrono::steady_clock::now() - t0,
             std::chrono::milliseconds(100));
-  EXPECT_EQ(popped, 3u);
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(queue.size(), 0u);
 }
 
-TEST(AdmissionQueueTest, PopUpToWakesWhenBatchCompletes) {
+TEST(AdmissionQueueTest, PopBatchBlocksForTheFirstItem) {
   serving::AdmissionQueue<int> queue(8);
   std::vector<int> out;
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    ASSERT_TRUE(queue.TryPush(1));
-    ASSERT_TRUE(queue.TryPush(2));
+  std::atomic<bool> popped{false};
+  std::thread consumer([&] {
+    ASSERT_TRUE(queue.PopBatch(&out, 4));
+    popped.store(true, std::memory_order_release);
   });
-  // Window far in the future: the pop must return when the 2-item batch
-  // completes, not at the deadline.
-  const size_t popped = queue.PopUpTo(
-      &out, 2, std::chrono::steady_clock::now() + std::chrono::seconds(30));
-  producer.join();
-  EXPECT_EQ(popped, 2u);
+  // The consumer has nothing to take; it must still be blocked.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(popped.load(std::memory_order_acquire));
+  ASSERT_TRUE(queue.TryPush(42));
+  consumer.join();
+  EXPECT_TRUE(popped.load(std::memory_order_acquire));
+  EXPECT_EQ(out, (std::vector<int>{42}));
 }
 
-TEST(AdmissionQueueTest, PopUpToFlushesStragglersAtDeadline) {
-  serving::AdmissionQueue<int> queue(8);
-  std::vector<int> out;
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    ASSERT_TRUE(queue.TryPush(1));  // sub-threshold: no consumer wakeup
-  });
-  const size_t popped = queue.PopUpTo(
-      &out, 5,
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(80));
-  producer.join();
-  // The straggler queued silently and was drained at the window edge.
-  EXPECT_EQ(popped, 1u);
-  EXPECT_EQ(out, (std::vector<int>{1}));
-}
-
-TEST(AdmissionQueueTest, CloseWakesWindowWaiter) {
+TEST(AdmissionQueueTest, CloseWakesBlockedConsumer) {
   serving::AdmissionQueue<int> queue(8);
   std::vector<int> out;
   std::thread closer([&] {
@@ -631,10 +625,9 @@ TEST(AdmissionQueueTest, CloseWakesWindowWaiter) {
     queue.Close();
   });
   const auto t0 = std::chrono::steady_clock::now();
-  const size_t popped = queue.PopUpTo(
-      &out, 4, std::chrono::steady_clock::now() + std::chrono::seconds(30));
+  EXPECT_FALSE(queue.PopBatch(&out, 4));
   closer.join();
-  EXPECT_EQ(popped, 0u);
+  EXPECT_TRUE(out.empty());
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
 }
 
@@ -683,6 +676,10 @@ class BlockingModel : public models::Model {
     released_ = true;
     release_cv_.notify_all();
   }
+  int calls() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return entered_;
+  }
 
  private:
   mutable std::mutex mu_;
@@ -719,7 +716,6 @@ TEST(ServerTest, QueueFullRejectsWithResourceExhausted) {
   serving::ServerOptions options;
   options.num_shards = 1;
   options.queue_depth = 2;
-  options.batch_window_us = 0;  // strict per-query: the worker stays busy
   serving::Server server(
       [&](size_t) { return WrapResilient(std::move(owned)); }, options);
 
@@ -763,24 +759,31 @@ TEST(ServerTest, QueueFullRejectsWithResourceExhausted) {
   EXPECT_EQ(stats.completed, 3u);
 }
 
-TEST(ServerTest, DeadlineExpiresInsideBatchWindow) {
-  auto owned = std::make_unique<CountingModel>();
-  CountingModel* counting = owned.get();
+TEST(ServerTest, DeadlineExpiresWhileQueued) {
+  auto owned = std::make_unique<BlockingModel>();
+  BlockingModel* blocking = owned.get();
   serving::ServerOptions options;
   options.num_shards = 1;
   options.max_batch = 32;
-  options.batch_window_us = 30000;  // 30ms window >> 1ms deadline
   serving::Server server(
       [&](size_t) { return WrapResilient(std::move(owned)); }, options);
 
-  // The doomed request opens the window; its deadline lapses before the
-  // window closes.
-  auto doomed = std::async(std::launch::async, [&] {
-    return server.Call("SELECT doomed", 0.0, /*deadline_us=*/1000);
-  });
+  // The first request occupies the worker inside the model...
   auto served = std::async(std::launch::async, [&] {
     return server.Call("SELECT served", 0.0, /*deadline_us=*/0);
   });
+  blocking->WaitUntilBlocked();
+  // ...so the doomed request queues behind it, and its 1ms deadline lapses
+  // before the worker can form its batch.
+  auto doomed = std::async(std::launch::async, [&] {
+    return server.Call("SELECT doomed", 0.0, /*deadline_us=*/1000);
+  });
+  while (server.GetStats().accepted < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  blocking->Release();
+
   const serving::ServerReply dr = doomed.get();
   const serving::ServerReply sr = served.get();
   EXPECT_EQ(dr.status.code(), StatusCode::kDeadlineExceeded);
@@ -788,40 +791,48 @@ TEST(ServerTest, DeadlineExpiresInsideBatchWindow) {
   EXPECT_EQ(dr.batch_size, 0u);  // never occupied a model batch slot
   EXPECT_TRUE(sr.status.ok()) << sr.status.ToString();
   // Only the live request reached the model.
-  EXPECT_EQ(counting->calls(), 1);
+  EXPECT_EQ(blocking->calls(), 1);
   const serving::Server::Stats stats = server.GetStats();
   EXPECT_EQ(stats.expired, 1u);
   EXPECT_EQ(stats.completed, 1u);
 }
 
 TEST(ServerTest, BatcherCoalescesAndFlushesPartialBatch) {
+  auto owned = std::make_unique<BlockingModel>();
+  BlockingModel* blocking = owned.get();
   serving::ServerOptions options;
   options.num_shards = 1;
   options.max_batch = 16;
-  options.batch_window_us = 60000;  // long enough to catch all three
   serving::Server server(
-      [&](size_t) { return WrapResilient(std::make_unique<CountingModel>()); },
-      options);
+      [&](size_t) { return WrapResilient(std::move(owned)); }, options);
 
+  // Hold the worker inside the model, then queue three requests behind it.
+  auto first = std::async(std::launch::async,
+                          [&] { return server.Call("SELECT blocker"); });
+  blocking->WaitUntilBlocked();
   std::vector<std::future<serving::ServerReply>> futures;
   for (int i = 0; i < 3; ++i) {
     futures.push_back(std::async(std::launch::async, [&, i] {
       return server.Call("SELECT q" + std::to_string(i));
     }));
   }
-  size_t max_batch_seen = 0;
+  while (server.GetStats().accepted < 4) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  blocking->Release();
+
+  EXPECT_EQ(first.get().batch_size, 1u);
   for (auto& f : futures) {
     const serving::ServerReply r = f.get();
     EXPECT_TRUE(r.status.ok()) << r.status.ToString();
-    max_batch_seen = std::max(max_batch_seen, r.batch_size);
+    // All three coalesced into one partial batch (3 < max_batch), flushed
+    // as soon as the worker was free — it did not wait for a full batch.
+    EXPECT_EQ(r.batch_size, 3u);
   }
-  // All three coalesced into one partial batch (3 < max_batch) which the
-  // window expiry flushed — it did not wait for a full batch.
-  EXPECT_EQ(max_batch_seen, 3u);
   const serving::Server::Stats stats = server.GetStats();
-  EXPECT_EQ(stats.completed, 3u);
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_DOUBLE_EQ(stats.mean_batch_size, 3.0);
+  EXPECT_EQ(stats.completed, 4u);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_DOUBLE_EQ(stats.mean_batch_size, 2.0);
 }
 
 TEST(ServerTest, ShutdownDrainsEveryAcceptedRequest) {
@@ -830,7 +841,6 @@ TEST(ServerTest, ShutdownDrainsEveryAcceptedRequest) {
   serving::ServerOptions options;
   options.num_shards = 1;
   options.queue_depth = 8;
-  options.batch_window_us = 0;
   serving::Server server(
       [&](size_t) { return WrapResilient(std::move(owned)); }, options);
 
@@ -882,11 +892,10 @@ TEST(ServerTest, BatchedRepliesBitIdenticalToDirectPredict) {
   models::MfreqModel baseline;
   baseline.Fit(train, train, &rng);
 
-  for (int64_t window_us : {int64_t{0}, int64_t{200}}) {
+  for (size_t max_batch : {size_t{1}, size_t{32}}) {
     serving::ServerOptions options;
     options.num_shards = 2;
-    options.max_batch = 8;
-    options.batch_window_us = window_us;
+    options.max_batch = max_batch;
     serving::Server server(
         [&](size_t) {
           return std::make_unique<serving::ResilientModel>(
@@ -918,14 +927,14 @@ TEST(ServerTest, BatchedRepliesBitIdenticalToDirectPredict) {
     server.Shutdown();
 
     // Whatever batches formed, every reply's bits equal the direct
-    // per-query Predict: micro-batching never changes an answer.
+    // per-query Predict: batching never changes an answer.
     for (const auto& client : results) {
       for (const auto& [statement, prediction] : client) {
         const std::vector<float> direct = cnn.Predict(statement, 0.0);
         ASSERT_EQ(prediction.size(), direct.size());
         for (size_t k = 0; k < direct.size(); ++k) {
           ASSERT_EQ(prediction[k], direct[k])
-              << "window=" << window_us << " statement=" << statement;
+              << "max_batch=" << max_batch << " statement=" << statement;
         }
       }
     }
@@ -948,7 +957,6 @@ TEST(ServerSoakTest, ConcurrentClientsAndStatsPollingAreClean) {
   serving::ServerOptions options;
   options.num_shards = 2;
   options.max_batch = 8;
-  options.batch_window_us = 100;
   options.queue_depth = 64;
   serving::Server server(
       [&](size_t) {

@@ -213,7 +213,6 @@ int main(int argc, char** argv) {
   ServerOptions options;
   options.num_shards = 2;
   options.queue_depth = 4096;
-  options.batch_window_us = 100;
   Server server(
       [&](size_t) {
         Rng rng(args.seed + 17);

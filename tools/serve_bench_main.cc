@@ -3,8 +3,8 @@
 // replays SDSS/SQLShare-flavoured traces against it at controlled arrival
 // rates with the paper's ~18.5% statement redundancy. Reports sustained QPS
 // and p50/p99/p999 latency per (precision tier x arrival rate), plus a
-// window=0 per-query baseline at the highest rate so the micro-batching win
-// is measured, not assumed.
+// max_batch=1 per-query baseline at the highest rate so the batching win is
+// measured, not assumed.
 //
 // SIGTERM/SIGINT drain the run (util/drain): clients stop issuing, the
 // server serves everything already admitted, and the partial report prints.
@@ -56,7 +56,6 @@ struct Args {
   double duration_s = 1.0;
   double warmup_s = 0.25;
   std::vector<double> rates = {4000.0, 12000.0, 0.0};  // 0 = unpaced max
-  int64_t window_us = -1;       // -1 = from env/default
   int max_batch = -1;           // -1 = from env/default
   int queue_depth = -1;         // -1 = from env/default
   int64_t deadline_us = 0;      // per-request deadline (0 = none)
@@ -66,7 +65,6 @@ struct Args {
   size_t train_n = 256;
   size_t trace_len = 256;
   std::string precision = "both";  // fp32|int8|both
-  bool compare_window0 = true;
   std::string json_out;
 };
 
@@ -76,10 +74,10 @@ void Usage(const char* argv0) {
       "usage: %s [--model ccnn|clstm|ctfidf] [--shards N] [--clients N]\n"
       "          [--duration-s S] [--warmup-s S]\n"
       "          [--rates r1,r2,...  (0 = unpaced)]\n"
-      "          [--window-us W] [--max-batch N] [--queue-depth N]\n"
+      "          [--max-batch N] [--queue-depth N]\n"
       "          [--deadline-us D] [--slo-us S] [--dup-rate F] [--seed N]\n"
       "          [--train-n N] [--trace-len N] [--precision fp32|int8|both]\n"
-      "          [--no-window0-baseline] [--json FILE]\n",
+      "          [--json FILE]\n",
       argv0);
 }
 
@@ -114,8 +112,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->warmup_s = std::atof(v);
     } else if (flag == "--rates" && (v = next())) {
       if (!ParseRates(v, &args->rates)) return false;
-    } else if (flag == "--window-us" && (v = next())) {
-      args->window_us = std::atoll(v);
     } else if (flag == "--max-batch" && (v = next())) {
       args->max_batch = std::atoi(v);
     } else if (flag == "--queue-depth" && (v = next())) {
@@ -134,8 +130,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->trace_len = static_cast<size_t>(std::atoi(v));
     } else if (flag == "--precision" && (v = next())) {
       args->precision = v;
-    } else if (flag == "--no-window0-baseline") {
-      args->compare_window0 = false;
     } else if (flag == "--json" && (v = next())) {
       args->json_out = v;
     } else {
@@ -188,16 +182,16 @@ std::unique_ptr<sqlfacil::models::Model> BuildModel(const std::string& name) {
 struct RunRecord {
   std::string precision;
   double rate_qps = 0.0;
-  int64_t window_us = 0;
+  size_t max_batch = 0;
   LoadReport report;
 };
 
 RunRecord RunOne(sqlfacil::models::Model* model,
                  sqlfacil::models::Model* baseline, const Args& args,
                  const ServerOptions& base_options, const char* precision,
-                 double rate, int64_t window_us) {
+                 double rate, size_t max_batch) {
   ServerOptions options = base_options;
-  options.batch_window_us = window_us;
+  options.max_batch = max_batch;
   Server server(
       [&](size_t) {
         return std::make_unique<ResilientModel>(
@@ -219,7 +213,7 @@ RunRecord RunOne(sqlfacil::models::Model* model,
   RunRecord record;
   record.precision = precision;
   record.rate_qps = rate;
-  record.window_us = window_us;
+  record.max_batch = max_batch;
   record.report = RunLoadGen(server, load);
   server.Shutdown();
   return record;
@@ -228,11 +222,11 @@ RunRecord RunOne(sqlfacil::models::Model* model,
 void PrintRecord(const RunRecord& r) {
   const LoadReport& rep = r.report;
   std::printf(
-      "%-5s rate=%-8.0f window=%-4" PRId64
+      "%-5s rate=%-8.0f max_batch=%-3zu"
       " qps=%-9.0f p50=%-8.1f p99=%-8.1f p999=%-8.1f "
       "ok=%" PRIu64 " rej=%" PRIu64 " exp=%" PRIu64 " fail=%" PRIu64
       " batch=%.1f hit=%.2f\n",
-      r.precision.c_str(), r.rate_qps, r.window_us, rep.achieved_qps,
+      r.precision.c_str(), r.rate_qps, r.max_batch, rep.achieved_qps,
       rep.latency_ns.PercentileUs(50.0), rep.latency_ns.PercentileUs(99.0),
       rep.latency_ns.PercentileUs(99.9), rep.ok, rep.rejected, rep.expired,
       rep.failed, rep.server.mean_batch_size, rep.server.cache.hit_rate());
@@ -258,8 +252,8 @@ void WriteJson(const std::string& path, const Args& args,
     const LoadReport& rep = r.report;
     std::fprintf(
         f,
-        "    {\"precision\": \"%s\", \"rate_qps\": %g, \"window_us\": "
-        "%" PRId64 ", \"qps\": %.1f, \"issued\": %" PRIu64
+        "    {\"precision\": \"%s\", \"rate_qps\": %g, \"max_batch\": "
+        "%zu, \"qps\": %.1f, \"issued\": %" PRIu64
         ", \"ok\": %" PRIu64 ", \"rejected\": %" PRIu64 ", \"expired\": "
         "%" PRIu64 ", \"failed\": %" PRIu64
         ", \"p50_us\": %.2f, \"p99_us\": %.2f, \"p999_us\": %.2f, "
@@ -270,7 +264,7 @@ void WriteJson(const std::string& path, const Args& args,
         ", \"breaker_closes\": %" PRIu64
         ", \"tier_primary\": %zu, \"tier_stale_cache\": %zu, "
         "\"tier_baseline\": %zu, \"tier_failed\": %zu}%s\n",
-        r.precision.c_str(), r.rate_qps, r.window_us, rep.achieved_qps,
+        r.precision.c_str(), r.rate_qps, r.max_batch, rep.achieved_qps,
         rep.issued, rep.ok, rep.rejected, rep.expired, rep.failed,
         rep.latency_ns.PercentileUs(50.0), rep.latency_ns.PercentileUs(99.0),
         rep.latency_ns.PercentileUs(99.9), rep.latency_ns.MeanUs(),
@@ -326,7 +320,6 @@ int main(int argc, char** argv) {
 
   ServerOptions base_options = ServerOptions::FromEnv();
   base_options.num_shards = args.shards;
-  if (args.window_us >= 0) base_options.batch_window_us = args.window_us;
   if (args.max_batch >= 1) {
     base_options.max_batch = static_cast<size_t>(args.max_batch);
   }
@@ -336,10 +329,9 @@ int main(int argc, char** argv) {
   base_options.default_deadline_us = 0;  // deadlines come per request
 
   std::printf(
-      "serving %s: shards=%zu clients=%zu window=%" PRId64
-      "us max_batch=%zu queue_depth=%zu dup=%.3f\n",
-      args.model.c_str(), args.shards, args.clients,
-      base_options.batch_window_us, base_options.max_batch,
+      "serving %s: shards=%zu clients=%zu max_batch=%zu queue_depth=%zu "
+      "dup=%.3f\n",
+      args.model.c_str(), args.shards, args.clients, base_options.max_batch,
       base_options.queue_depth, args.dup_rate);
 
   std::vector<RunRecord> records;
@@ -355,12 +347,12 @@ int main(int argc, char** argv) {
       if (sqlfacil::train::DrainRequested()) break;
       records.push_back(RunOne(model.get(), baseline.get(), args,
                                base_options, precision, rate,
-                               base_options.batch_window_us));
+                               base_options.max_batch));
       PrintRecord(records.back());
     }
-    // Per-query baseline (window = 0) at the highest-concurrency point:
+    // Per-query baseline (max_batch = 1) at the highest-concurrency point:
     // the unpaced run, or the largest rate when all runs are paced.
-    if (args.compare_window0 && !args.rates.empty() &&
+    if (base_options.max_batch > 1 && !args.rates.empty() &&
         !sqlfacil::train::DrainRequested()) {
       double top_rate = args.rates[0];
       for (double r : args.rates) {
@@ -368,7 +360,7 @@ int main(int argc, char** argv) {
         if (top_rate != 0.0 && r > top_rate) top_rate = r;
       }
       records.push_back(RunOne(model.get(), baseline.get(), args,
-                               base_options, precision, top_rate, 0));
+                               base_options, precision, top_rate, 1));
       PrintRecord(records.back());
     }
   }
@@ -382,7 +374,7 @@ int main(int argc, char** argv) {
     const RunRecord* perquery = nullptr;
     for (const RunRecord& r : records) {
       if (r.precision != precision) continue;
-      if (r.window_us == 0) {
+      if (r.max_batch != base_options.max_batch) {
         perquery = &r;
       } else if (batched == nullptr ||
                  r.report.achieved_qps > batched->report.achieved_qps) {
@@ -398,7 +390,8 @@ int main(int argc, char** argv) {
     // SLO check at the middle paced rate.
     std::vector<const RunRecord*> paced;
     for (const RunRecord& r : records) {
-      if (r.precision == precision && r.window_us != 0 && r.rate_qps > 0.0) {
+      if (r.precision == precision &&
+          r.max_batch == base_options.max_batch && r.rate_qps > 0.0) {
         paced.push_back(&r);
       }
     }
