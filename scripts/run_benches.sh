@@ -9,8 +9,9 @@
 # --json: instead of the full sweep, runs the micro-benchmarks that track
 # the perf work (micro_nn, micro_train, micro_parallel, micro_serving,
 # micro_quant, micro_storage) plus the serve_bench closed-loop load
-# generator, and distills the key metrics into bench_logs/BENCH_9.json
-# (BENCH_8 and earlier are kept as historical snapshots). Ends with two
+# generator, and distills the key metrics into the next free
+# bench_logs/BENCH_<n>.json (one past the highest n present; earlier
+# snapshots are kept as history). Ends with two
 # greppable gate lines: STORAGE_BENCH_OK with the storage-engine headline
 # numbers (index-vs-seq speedup, hit rate, paging rate) and WAL_BENCH_OK
 # with the durability numbers (insert overhead of the default group-commit
@@ -43,6 +44,9 @@ cmake --build "$BUILD_DIR" -j >/dev/null || {
 
 if [ "${1:-}" = "--json" ]; then
   mkdir -p bench_logs
+  last=$(ls bench_logs | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$/\1/p' |
+    sort -n | tail -1)
+  out="bench_logs/BENCH_$((${last:-0} + 1)).json"
   for b in micro_nn micro_train micro_parallel micro_serving micro_quant \
       micro_storage; do
     bin="$BUILD_DIR/bench/$b"
@@ -67,15 +71,16 @@ if [ "${1:-}" = "--json" ]; then
     bench_logs/micro_parallel.json bench_logs/micro_serving.json \
     bench_logs/micro_quant.json bench_logs/micro_storage.json \
     bench_logs/serve_bench.json \
-    > bench_logs/BENCH_9.json || exit 1
+    > "$out" || exit 1
   rm -f bench_logs/micro_nn.json bench_logs/micro_train.json \
     bench_logs/micro_parallel.json bench_logs/micro_serving.json \
     bench_logs/micro_quant.json bench_logs/micro_storage.json \
     bench_logs/serve_bench.json
-  echo "wrote bench_logs/BENCH_9.json"
-  python3 - <<'EOF' || exit 1
+  echo "wrote $out"
+  python3 - "$out" <<'EOF' || exit 1
 import json
-d = json.load(open("bench_logs/BENCH_9.json"))["derived"]
+import sys
+d = json.load(open(sys.argv[1]))["derived"]
 speedup = d.get("index_vs_seq_speedup_1pct", 0.0)
 ok = speedup >= 10.0
 print(

@@ -19,18 +19,29 @@ namespace sqlfacil::models {
 
 namespace {
 
-/// Deep copy of parameter values (best-epoch snapshotting).
-std::vector<nn::Tensor> Snapshot(const std::vector<nn::Var>& params) {
-  std::vector<nn::Tensor> out;
-  out.reserve(params.size());
-  for (const auto& p : params) out.push_back(p->value);
-  return out;
+// Window rows that width `width` stacks for queries [qb, qe).
+size_t WindowRows(const std::vector<std::vector<int>>& encoded, size_t qb,
+                  size_t qe, int width) {
+  size_t rows = 0;
+  for (size_t q = qb; q < qe; ++q) rows += encoded[q].size() - width + 1;
+  return rows;
 }
 
-void Restore(const std::vector<nn::Var>& params,
-             const std::vector<nn::Tensor>& snapshot) {
-  SQLFACIL_CHECK(params.size() == snapshot.size());
-  for (size_t i = 0; i < params.size(); ++i) params[i]->value = snapshot[i];
+// The tier-independent tail of one conv width: Relu over the stacked
+// conv_out, then each query's max-over-time straight into its row of
+// `features` (already offset to this width's columns), so the concat of
+// pooled widths needs no extra copy.
+void ReluMaxPool(const std::vector<std::vector<int>>& encoded, size_t qb,
+                 size_t qe, int width, int kernels, float* conv_out,
+                 size_t total_rows, float* features, size_t feat_dim) {
+  nn::simd::Relu(conv_out, total_rows * kernels);
+  int row = 0;
+  for (size_t q = qb; q < qe; ++q) {
+    const int rows_q = static_cast<int>(encoded[q].size()) - width + 1;
+    nn::infer::MaxOverTime(conv_out, row, row + rows_q, kernels,
+                           features + (q - qb) * feat_dim);
+    row += rows_q;
+  }
 }
 
 }  // namespace
@@ -74,29 +85,24 @@ nn::Var CnnModel::Forward(const std::vector<int>& ids, bool training,
 
 double CnnModel::ValidLoss(const Dataset& valid) const {
   if (valid.size() == 0) return 0.0;
-  const auto encoded = vocab_.EncodeAll(valid.statements, MaxLen());
-  // Forward-only evaluation parallelizes per example; losses land in slots
-  // and sum in example order for bit-identical results at any thread count.
-  std::vector<double> losses(valid.size(), 0.0);
-  ParallelFor(0, valid.size(), 8, [&](size_t b, size_t e) {
-    Rng unused(0);
-    for (size_t i = b; i < e; ++i) {
-      nn::Var logits = Forward(encoded[i], /*training=*/false, &unused);
-      if (kind_ == TaskKind::kClassification) {
-        nn::Var loss = nn::SoftmaxCrossEntropy(logits, {valid.labels[i]});
-        losses[i] = loss->value.at(0);
-      } else {
-        nn::Var loss =
-            config_.use_squared_loss
-                ? nn::SquaredLoss(logits, {valid.targets[i]})
-                : nn::HuberLoss(logits, {valid.targets[i]},
-                                config_.huber_delta);
-        losses[i] = loss->value.at(0);
-      }
-    }
-  });
+  // The served fp32 kernels score validation, whatever tier is active; the
+  // loss stays per example, summed in example order.
+  const auto logits = BatchLogits(valid.statements, /*int8=*/false);
   double total = 0.0;
-  for (double l : losses) total += l;
+  for (size_t i = 0; i < valid.size(); ++i) {
+    nn::Tensor row({1, outputs_});
+    std::copy(logits[i].begin(), logits[i].end(), row.data());
+    const nn::Var out = nn::MakeConst(std::move(row));
+    nn::Var loss;
+    if (kind_ == TaskKind::kClassification) {
+      loss = nn::SoftmaxCrossEntropy(out, {valid.labels[i]});
+    } else if (config_.use_squared_loss) {
+      loss = nn::SquaredLoss(out, {valid.targets[i]});
+    } else {
+      loss = nn::HuberLoss(out, {valid.targets[i]}, config_.huber_delta);
+    }
+    total += loss->value.at(0);
+  }
   return total / static_cast<double>(valid.size());
 }
 
@@ -149,7 +155,7 @@ void CnnModel::TrainLoop(const Dataset& train, const Dataset& valid,
   nn::GradShards shards;
   shards.Prepare(params, max_shards);
 
-  std::vector<nn::Tensor> best = Snapshot(params);
+  std::vector<nn::Tensor> best = SnapshotParams(params);
   double best_valid = 1e300;
   valid_history_.clear();
   const size_t n = train.size();
@@ -239,7 +245,7 @@ void CnnModel::TrainLoop(const Dataset& train, const Dataset& valid,
       if (train::DrainRequested()) {
         SaveTrainSnapshot(&snap, epoch, bpos + 1, epoch_rng, best_valid,
                           valid_history_, params, best, &optimizer);
-        Restore(params, best);
+        RestoreParams(params, best);
         return;
       }
     }
@@ -247,7 +253,7 @@ void CnnModel::TrainLoop(const Dataset& train, const Dataset& valid,
     valid_history_.push_back(vloss);
     if (vloss < best_valid || valid.size() == 0) {
       best_valid = vloss;
-      best = Snapshot(params);
+      best = SnapshotParams(params);
     }
     const bool drained = train::DrainRequested();
     if (snap.ShouldSnapshot(epoch + 1, epochs) || drained) {
@@ -256,7 +262,7 @@ void CnnModel::TrainLoop(const Dataset& train, const Dataset& valid,
     }
     if (drained) break;
   }
-  Restore(params, best);
+  RestoreParams(params, best);
   // The int8 tier needs no data-dependent calibration (conv inputs are
   // embedding rows with a static range), so every trained network quantizes
   // immediately.
@@ -412,24 +418,8 @@ Status CnnModel::LoadFrom(std::istream& in) {
 
 std::vector<float> CnnModel::Predict(const std::string& statement,
                                      double opt_cost) const {
-  (void)opt_cost;
-  if (nn::quant::ActivePrecision() == nn::quant::Precision::kInt8 &&
-      quant_.ready()) {
-    // The fp32 Predict builds the autograd graph; the int8 tier has only the
-    // graph-free batched kernels, so a single query is a batch of one (which
-    // also keeps Predict == PredictBatch bit-identical on this tier).
-    return PredictBatch(std::span<const std::string>(&statement, 1))[0];
-  }
-  nn::simd::LogDispatchOnce();
-  Rng unused(0);
-  const auto ids = vocab_.Encode(statement, MaxLen());
-  nn::Var logits = Forward(ids, /*training=*/false, &unused);
-  std::vector<float> out(logits->value.data(),
-                         logits->value.data() + logits->value.size());
-  if (kind_ == TaskKind::kClassification) {
-    nn::infer::SoftmaxInPlace(out.data(), out.size());
-  }
-  return out;
+  return PredictBatch(std::span<const std::string>(&statement, 1),
+                      std::span<const double>(&opt_cost, 1))[0];
 }
 
 std::vector<std::vector<float>> CnnModel::PredictBatch(
@@ -438,24 +428,28 @@ std::vector<std::vector<float>> CnnModel::PredictBatch(
   (void)opt_costs;
   failpoint::MaybeFail("model.predict");
   nn::simd::LogDispatchOnce();
-  const size_t n = statements.size();
-  if (n == 0) return {};
-  if (nn::quant::ActivePrecision() == nn::quant::Precision::kInt8 &&
-      quant_.ready()) {
-    return PredictBatchInt8(statements);
+  auto preds = BatchLogits(
+      statements,
+      nn::quant::ActivePrecision() == nn::quant::Precision::kInt8 &&
+          quant_.ready());
+  if (kind_ == TaskKind::kClassification) {
+    for (auto& p : preds) nn::infer::SoftmaxInPlace(p.data(), p.size());
   }
+  return preds;
+}
+
+std::vector<std::vector<float>> CnnModel::BatchLogits(
+    std::span<const std::string> statements, bool int8) const {
+  const size_t n = statements.size();
   auto encoded = vocab_.EncodeAll(statements, MaxLen());
   const int max_width = *std::max_element(config_.widths.begin(),
                                           config_.widths.end());
   for (auto& ids : encoded) {
     while (ids.size() < static_cast<size_t>(max_width)) ids.push_back(-1);
   }
-
-  const int d = config_.embed_dim;
-  const int kernels = config_.kernels_per_width;
-  const int feat_dim = static_cast<int>(config_.widths.size()) * kernels;
-  const float* table = embedding_.table->value.data();
-  std::vector<std::vector<float>> preds(n);
+  const int feat_dim =
+      static_cast<int>(config_.widths.size()) * config_.kernels_per_width;
+  std::vector<std::vector<float>> logits(n);
 
   // Fixed-size slices bound the arena high-water mark and give the thread
   // pool deterministic work boundaries (each query's rows depend only on
@@ -469,170 +463,109 @@ std::vector<std::vector<float>> CnnModel::PredictBatch(
       const size_t qb = s * kSliceQueries;
       const size_t qe = std::min(n, qb + kSliceQueries);
       const int slice = static_cast<int>(qe - qb);
-
-      // Embed every query in the slice into one contiguous buffer.
-      size_t total_tokens = 0;
-      for (size_t q = qb; q < qe; ++q) total_tokens += encoded[q].size();
-      float* emb = arena.Alloc(total_tokens * d);
+      // Every query in the slice embeds into one contiguous buffer; query
+      // q's rows start at row_offset[q - qb].
       row_offset.assign(slice + 1, 0);
       for (size_t q = qb; q < qe; ++q) {
-        const auto& ids = encoded[q];
-        nn::infer::GatherRows(table, d, ids.data(),
-                              static_cast<int>(ids.size()),
-                              emb + row_offset[q - qb] * d);
-        row_offset[q - qb + 1] =
-            row_offset[q - qb] + ids.size();
+        row_offset[q - qb + 1] = row_offset[q - qb] + encoded[q].size();
       }
-
       float* features = arena.Alloc(static_cast<size_t>(slice) * feat_dim);
-      for (size_t w = 0; w < config_.widths.size(); ++w) {
-        const int width = config_.widths[w];
-        // Query q's width-w windows are the rows of its embedding read at
-        // row stride d, so the convolution reads them in place and stacks
-        // every query's outputs into one conv_out for the slice.
-        size_t total_rows = 0;
-        for (size_t q = qb; q < qe; ++q) {
-          total_rows += encoded[q].size() - width + 1;
-        }
-        float* conv_out = arena.Alloc(total_rows * kernels);
-        size_t row = 0;
-        for (size_t q = qb; q < qe; ++q) {
-          const int rows_q = static_cast<int>(encoded[q].size()) - width + 1;
-          nn::infer::MatMul(emb + row_offset[q - qb] * d, d,
-                            convs_[w].weight->value.data(),
-                            conv_out + row * kernels, rows_q, width * d,
-                            kernels);
-          row += static_cast<size_t>(rows_q);
-        }
-        nn::infer::BiasAdd(conv_out, convs_[w].bias->value.data(),
-                           static_cast<int>(total_rows), kernels);
-        nn::simd::Relu(conv_out, total_rows * kernels);
-        // Max-over-time per query lands directly in this width's feature
-        // columns, so the concat of pooled widths needs no extra copy.
-        row = 0;
-        for (size_t q = qb; q < qe; ++q) {
-          const int rows_q = static_cast<int>(encoded[q].size()) - width + 1;
-          nn::infer::MaxOverTime(
-              conv_out, static_cast<int>(row), static_cast<int>(row) + rows_q,
-              kernels,
-              features + (q - qb) * static_cast<size_t>(feat_dim) +
-                  w * static_cast<size_t>(kernels));
-          row += static_cast<size_t>(rows_q);
-        }
+      if (int8) {
+        PoolSliceInt8(encoded, qb, qe, row_offset, &arena, features);
+      } else {
+        PoolSlice(encoded, qb, qe, row_offset, &arena, features);
       }
-
-      float* logits = arena.Alloc(static_cast<size_t>(slice) * outputs_);
-      nn::infer::MatMul(features, head_.weight->value.data(), logits, slice,
+      float* out = arena.Alloc(static_cast<size_t>(slice) * outputs_);
+      nn::infer::MatMul(features, head_.weight->value.data(), out, slice,
                         feat_dim, outputs_);
-      nn::infer::BiasAdd(logits, head_.bias->value.data(), slice, outputs_);
+      nn::infer::BiasAdd(out, head_.bias->value.data(), slice, outputs_);
       for (size_t q = qb; q < qe; ++q) {
-        const float* row = logits + (q - qb) * static_cast<size_t>(outputs_);
-        preds[q].assign(row, row + outputs_);
-        if (kind_ == TaskKind::kClassification) {
-          nn::infer::SoftmaxInPlace(preds[q].data(), preds[q].size());
-        }
+        const float* row = out + (q - qb) * static_cast<size_t>(outputs_);
+        logits[q].assign(row, row + outputs_);
       }
       arena.Reset();
     }
   });
-  return preds;
+  return logits;
 }
 
-std::vector<std::vector<float>> CnnModel::PredictBatchInt8(
-    std::span<const std::string> statements) const {
-  const size_t n = statements.size();
-  auto encoded = vocab_.EncodeAll(statements, MaxLen());
-  const int max_width = *std::max_element(config_.widths.begin(),
-                                          config_.widths.end());
-  for (auto& ids : encoded) {
-    while (ids.size() < static_cast<size_t>(max_width)) ids.push_back(-1);
-  }
-
+void CnnModel::PoolSlice(const std::vector<std::vector<int>>& encoded,
+                         size_t qb, size_t qe,
+                         const std::vector<size_t>& row_offset,
+                         nn::Arena* arena, float* features) const {
   const int d = config_.embed_dim;
   const int kernels = config_.kernels_per_width;
-  const int feat_dim = static_cast<int>(config_.widths.size()) * kernels;
-  std::vector<std::vector<float>> preds(n);
-
-  // Same fixed-slice partition as the fp32 path; gather and unfold move u8
-  // bytes, each width's conv is one quantized stacked matmul (dequantized
-  // against the fp32 conv bias), and Relu / max-over-time / head run the
-  // fp32 kernels on the dequantized activations.
-  constexpr size_t kSliceQueries = 32;
-  const size_t num_slices = (n + kSliceQueries - 1) / kSliceQueries;
-  ParallelFor(0, num_slices, 1, [&](size_t sb, size_t se) {
-    nn::Arena& arena = nn::ThreadLocalArena();
-    auto alloc_bytes = [&arena](size_t bytes) {
-      return reinterpret_cast<uint8_t*>(arena.Alloc((bytes + 3) / 4));
-    };
-    thread_local std::vector<size_t> row_offset;
-    for (size_t s = sb; s < se; ++s) {
-      const size_t qb = s * kSliceQueries;
-      const size_t qe = std::min(n, qb + kSliceQueries);
-      const int slice = static_cast<int>(qe - qb);
-
-      size_t total_tokens = 0;
-      for (size_t q = qb; q < qe; ++q) total_tokens += encoded[q].size();
-      uint8_t* emb = alloc_bytes(total_tokens * d);
-      row_offset.assign(slice + 1, 0);
-      for (size_t q = qb; q < qe; ++q) {
-        const auto& ids = encoded[q];
-        nn::infer::Int8GatherRows(quant_.qtable.data(), d, ids.data(),
-                                  static_cast<int>(ids.size()),
-                                  emb + row_offset[q - qb] * d, d);
-        row_offset[q - qb + 1] = row_offset[q - qb] + ids.size();
-      }
-
-      float* features = arena.Alloc(static_cast<size_t>(slice) * feat_dim);
-      for (size_t w = 0; w < config_.widths.size(); ++w) {
-        const int width = config_.widths[w];
-        const auto& W = quant_.convs[w];
-        const int a_stride = 4 * W.k4;
-        size_t total_rows = 0;
-        for (size_t q = qb; q < qe; ++q) {
-          total_rows += encoded[q].size() - width + 1;
-        }
-        uint8_t* windows = alloc_bytes(total_rows * a_stride);
-        size_t row = 0;
-        for (size_t q = qb; q < qe; ++q) {
-          const int t = static_cast<int>(encoded[q].size());
-          nn::infer::Int8Unfold(emb + row_offset[q - qb] * d, t, d, width,
-                                windows + row * a_stride, a_stride);
-          row += static_cast<size_t>(t - width + 1);
-        }
-        int32_t* acc = reinterpret_cast<int32_t*>(
-            arena.Alloc(total_rows * static_cast<size_t>(W.n_pad)));
-        float* conv_out = arena.Alloc(total_rows * kernels);
-        nn::infer::Int8MatMul(windows, a_stride, W, quant_.emb_scale,
-                              convs_[w].bias->value.data(),
-                              static_cast<int>(total_rows), acc, conv_out);
-        nn::simd::Relu(conv_out, total_rows * kernels);
-        row = 0;
-        for (size_t q = qb; q < qe; ++q) {
-          const int rows_q = static_cast<int>(encoded[q].size()) - width + 1;
-          nn::infer::MaxOverTime(
-              conv_out, static_cast<int>(row), static_cast<int>(row) + rows_q,
-              kernels,
-              features + (q - qb) * static_cast<size_t>(feat_dim) +
-                  w * static_cast<size_t>(kernels));
-          row += static_cast<size_t>(rows_q);
-        }
-      }
-
-      float* logits = arena.Alloc(static_cast<size_t>(slice) * outputs_);
-      nn::infer::MatMul(features, head_.weight->value.data(), logits, slice,
-                        feat_dim, outputs_);
-      nn::infer::BiasAdd(logits, head_.bias->value.data(), slice, outputs_);
-      for (size_t q = qb; q < qe; ++q) {
-        const float* row = logits + (q - qb) * static_cast<size_t>(outputs_);
-        preds[q].assign(row, row + outputs_);
-        if (kind_ == TaskKind::kClassification) {
-          nn::infer::SoftmaxInPlace(preds[q].data(), preds[q].size());
-        }
-      }
-      arena.Reset();
+  const size_t feat_dim = config_.widths.size() * static_cast<size_t>(kernels);
+  float* emb = arena->Alloc(row_offset[qe - qb] * d);
+  for (size_t q = qb; q < qe; ++q) {
+    const auto& ids = encoded[q];
+    nn::infer::GatherRows(embedding_.table->value.data(), d, ids.data(),
+                          static_cast<int>(ids.size()),
+                          emb + row_offset[q - qb] * d);
+  }
+  for (size_t w = 0; w < config_.widths.size(); ++w) {
+    const int width = config_.widths[w];
+    // Query q's width-w windows are the rows of its embedding read at row
+    // stride d, so the convolution reads them in place and stacks every
+    // query's outputs into one conv_out for the slice.
+    const size_t total_rows = WindowRows(encoded, qb, qe, width);
+    float* conv_out = arena->Alloc(total_rows * kernels);
+    size_t row = 0;
+    for (size_t q = qb; q < qe; ++q) {
+      const int rows_q = static_cast<int>(encoded[q].size()) - width + 1;
+      nn::infer::MatMul(emb + row_offset[q - qb] * d, d,
+                        convs_[w].weight->value.data(),
+                        conv_out + row * kernels, rows_q, width * d, kernels);
+      row += static_cast<size_t>(rows_q);
     }
-  });
-  return preds;
+    nn::infer::BiasAdd(conv_out, convs_[w].bias->value.data(),
+                       static_cast<int>(total_rows), kernels);
+    ReluMaxPool(encoded, qb, qe, width, kernels, conv_out, total_rows,
+                features + w * kernels, feat_dim);
+  }
+}
+
+void CnnModel::PoolSliceInt8(const std::vector<std::vector<int>>& encoded,
+                             size_t qb, size_t qe,
+                             const std::vector<size_t>& row_offset,
+                             nn::Arena* arena, float* features) const {
+  // Gather and unfold move u8 bytes and each width's conv is one quantized
+  // stacked matmul, dequantized against the fp32 conv bias.
+  const int d = config_.embed_dim;
+  const int kernels = config_.kernels_per_width;
+  const size_t feat_dim = config_.widths.size() * static_cast<size_t>(kernels);
+  auto alloc_bytes = [arena](size_t bytes) {
+    return reinterpret_cast<uint8_t*>(arena->Alloc((bytes + 3) / 4));
+  };
+  uint8_t* emb = alloc_bytes(row_offset[qe - qb] * d);
+  for (size_t q = qb; q < qe; ++q) {
+    const auto& ids = encoded[q];
+    nn::infer::Int8GatherRows(quant_.qtable.data(), d, ids.data(),
+                              static_cast<int>(ids.size()),
+                              emb + row_offset[q - qb] * d, d);
+  }
+  for (size_t w = 0; w < config_.widths.size(); ++w) {
+    const int width = config_.widths[w];
+    const auto& W = quant_.convs[w];
+    const int a_stride = 4 * W.k4;
+    const size_t total_rows = WindowRows(encoded, qb, qe, width);
+    uint8_t* windows = alloc_bytes(total_rows * a_stride);
+    size_t row = 0;
+    for (size_t q = qb; q < qe; ++q) {
+      const int t = static_cast<int>(encoded[q].size());
+      nn::infer::Int8Unfold(emb + row_offset[q - qb] * d, t, d, width,
+                            windows + row * a_stride, a_stride);
+      row += static_cast<size_t>(t - width + 1);
+    }
+    int32_t* acc = reinterpret_cast<int32_t*>(
+        arena->Alloc(total_rows * static_cast<size_t>(W.n_pad)));
+    float* conv_out = arena->Alloc(total_rows * kernels);
+    nn::infer::Int8MatMul(windows, a_stride, W, quant_.emb_scale,
+                          convs_[w].bias->value.data(),
+                          static_cast<int>(total_rows), acc, conv_out);
+    ReluMaxPool(encoded, qb, qe, width, kernels, conv_out, total_rows,
+                features + w * kernels, feat_dim);
+  }
 }
 
 }  // namespace sqlfacil::models

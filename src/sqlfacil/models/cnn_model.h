@@ -10,6 +10,10 @@
 #include "sqlfacil/nn/optim.h"
 #include "sqlfacil/nn/quant.h"
 
+namespace sqlfacil::nn {
+class Arena;
+}  // namespace sqlfacil::nn
+
 namespace sqlfacil::models {
 
 /// The shallow CNN of Section 5.3 (Figure 11, adapted from Kim [32]):
@@ -52,10 +56,11 @@ class CnnModel : public Model {
   std::vector<float> Predict(const std::string& statement,
                              double opt_cost) const override;
   /// Batched fast path: queries are processed in fixed slices; per conv
-  /// width the unfold windows of every query in a slice stack into one tall
+  /// width the windows of every query in a slice stack into one tall
   /// matrix, so each width costs a single stacked matmul instead of one
   /// matmul per query. Temporaries live in a per-thread arena (zero heap
-  /// allocations at steady state). Bit-identical to per-query Predict.
+  /// allocations at steady state). Predict is a batch of one, so the two
+  /// are bit-identical by construction.
   std::vector<std::vector<float>> PredictBatch(
       std::span<const std::string> statements,
       std::span<const double> opt_costs = {}) const override;
@@ -101,16 +106,35 @@ class CnnModel : public Model {
                ? config_.max_len_char
                : config_.max_len_word;
   }
-  /// Forward pass for one encoded statement; training enables dropout.
+  /// Autograd forward for one encoded statement, built only by training
+  /// steps; training enables dropout. In eval mode its logits equal
+  /// BatchLogits' bit for bit (tests/serving_test.cc pins this).
   nn::Var Forward(const std::vector<int>& ids, bool training,
                   Rng* rng) const;
   std::vector<nn::Var> Params() const;
+  /// Mean per-example loss of the fp32 BatchLogits on `valid`.
   double ValidLoss(const Dataset& valid) const;
-  /// Int8-tier PredictBatch (quant_ must be ready): the same fixed-slice
-  /// partition as the fp32 path with u8 gather/unfold and quantized conv
-  /// matmuls; pooling and the head run fp32.
-  std::vector<std::vector<float>> PredictBatchInt8(
-      std::span<const std::string> statements) const;
+  /// The graph-free forward behind Predict, PredictBatch and ValidLoss:
+  /// encodes, cuts fixed 32-query slices, pools each slice on the thread
+  /// pool at the fp32 or int8 (quant_ must be ready) tier, and runs the
+  /// fp32 head. Returns each statement's logits (no softmax).
+  std::vector<std::vector<float>> BatchLogits(
+      std::span<const std::string> statements, bool int8) const;
+  /// One slice's tier-specific stage of BatchLogits: gathers queries
+  /// [qb, qe) (query q's rows start at row_offset[q - qb]), runs every
+  /// width's conv, Relu and max-over-time, and writes the (qe - qb) x
+  /// feature rows into `features`. Temporaries come from `arena`.
+  void PoolSlice(const std::vector<std::vector<int>>& encoded, size_t qb,
+                 size_t qe, const std::vector<size_t>& row_offset,
+                 nn::Arena* arena, float* features) const;
+  /// PoolSlice on the int8 tier: u8 gather and unfold, quantized conv
+  /// matmuls; Relu and pooling stay fp32.
+  void PoolSliceInt8(const std::vector<std::vector<int>>& encoded,
+                     size_t qb, size_t qe,
+                     const std::vector<size_t>& row_offset, nn::Arena* arena,
+                     float* features) const;
+
+  friend class CnnModelPeer;  // tests reach Forward and BatchLogits
 
   Config config_;
   TaskKind kind_ = TaskKind::kClassification;

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include <iostream>
-
 #include "sqlfacil/models/serialize_util.h"
 #include "sqlfacil/models/train_state.h"
 #include "sqlfacil/nn/arena.h"
@@ -20,23 +18,6 @@
 
 namespace sqlfacil::models {
 
-namespace {
-
-std::vector<nn::Tensor> Snapshot(const std::vector<nn::Var>& params) {
-  std::vector<nn::Tensor> out;
-  out.reserve(params.size());
-  for (const auto& p : params) out.push_back(p->value);
-  return out;
-}
-
-void Restore(const std::vector<nn::Var>& params,
-             const std::vector<nn::Tensor>& snapshot) {
-  SQLFACIL_CHECK(params.size() == snapshot.size());
-  for (size_t i = 0; i < params.size(); ++i) params[i]->value = snapshot[i];
-}
-
-}  // namespace
-
 std::vector<nn::Var> LstmModel::Params() const {
   std::vector<nn::Var> params = stack_.Params();
   for (const auto& p : embedding_.Params()) params.push_back(p);
@@ -50,62 +31,36 @@ size_t LstmModel::num_parameters() const {
   return total;
 }
 
-nn::Var LstmModel::Forward(
-    const std::vector<const std::vector<int>*>& batch) const {
-  size_t max_len = 1;
-  for (const auto* ids : batch) max_len = std::max(max_len, ids->size());
-  std::vector<nn::Var> steps;
-  std::vector<std::vector<bool>> active;
-  steps.reserve(max_len);
-  active.reserve(max_len);
-  for (size_t t = 0; t < max_len; ++t) {
-    std::vector<int> step_ids(batch.size());
-    std::vector<bool> step_active(batch.size());
-    for (size_t b = 0; b < batch.size(); ++b) {
-      const bool is_active = t < batch[b]->size();
-      step_active[b] = is_active;
-      step_ids[b] = is_active ? (*batch[b])[t] : -1;
-    }
-    steps.push_back(embedding_.Lookup(step_ids));
-    active.push_back(std::move(step_active));
-  }
-  nn::Var h = stack_.Run(steps, active);
-  return head_.Apply(h);
-}
-
 double LstmModel::ValidLoss(
     const Dataset& valid, const std::vector<std::vector<int>>& encoded) const {
   if (valid.size() == 0) return 0.0;
+  // The served fp32 kernels score validation, whatever tier is active. The
+  // loss runs over consecutive batch_size blocks, summed in block order.
+  const auto logits = BatchLogits(encoded, /*int8=*/false);
   const size_t batch = config_.batch_size;
-  const size_t num_batches = (valid.size() + batch - 1) / batch;
-  // Batches evaluate in parallel (forward-only, no shared mutable state);
-  // per-batch losses land in slots and sum in batch order so the result is
-  // bit-identical to the serial loop at any thread count.
-  std::vector<double> partial(num_batches, 0.0);
-  ParallelFor(0, num_batches, 1, [&](size_t bb, size_t be) {
-    for (size_t b = bb; b < be; ++b) {
-      const size_t start = b * batch;
-      const size_t end = std::min(valid.size(), start + batch);
-      std::vector<const std::vector<int>*> refs;
-      std::vector<int> labels;
-      std::vector<float> targets;
-      for (size_t i = start; i < end; ++i) {
-        refs.push_back(&encoded[i]);
-        if (kind_ == TaskKind::kClassification) {
-          labels.push_back(valid.labels[i]);
-        } else {
-          targets.push_back(valid.targets[i]);
-        }
-      }
-      nn::Var out = Forward(refs);
-      nn::Var loss = kind_ == TaskKind::kClassification
-                         ? nn::SoftmaxCrossEntropy(out, labels)
-                         : nn::HuberLoss(out, targets, config_.huber_delta);
-      partial[b] = static_cast<double>(loss->value.at(0)) * refs.size();
-    }
-  });
+  std::vector<int> labels;
+  std::vector<float> targets;
   double total = 0.0;
-  for (double p : partial) total += p;
+  for (size_t start = 0; start < valid.size(); start += batch) {
+    const size_t end = std::min(valid.size(), start + batch);
+    nn::Tensor block({static_cast<int>(end - start), outputs_});
+    labels.clear();
+    targets.clear();
+    for (size_t i = start; i < end; ++i) {
+      std::copy(logits[i].begin(), logits[i].end(),
+                block.data() + (i - start) * outputs_);
+      if (kind_ == TaskKind::kClassification) {
+        labels.push_back(valid.labels[i]);
+      } else {
+        targets.push_back(valid.targets[i]);
+      }
+    }
+    const nn::Var out = nn::MakeConst(std::move(block));
+    nn::Var loss = kind_ == TaskKind::kClassification
+                       ? nn::SoftmaxCrossEntropy(out, labels)
+                       : nn::HuberLoss(out, targets, config_.huber_delta);
+    total += static_cast<double>(loss->value.at(0)) * (end - start);
+  }
   return total / static_cast<double>(valid.size());
 }
 
@@ -160,7 +115,7 @@ void LstmModel::Fit(const Dataset& train, const Dataset& valid, Rng* rng) {
   nn::GradShards shards;
   shards.Prepare(params, max_shards);
 
-  std::vector<nn::Tensor> best = Snapshot(params);
+  std::vector<nn::Tensor> best = SnapshotParams(params);
   double best_valid = 1e300;
   valid_history_.clear();
 
@@ -244,7 +199,7 @@ void LstmModel::Fit(const Dataset& train, const Dataset& valid, Rng* rng) {
         // the mid-epoch position and stop.
         SaveTrainSnapshot(&snap, epoch, bpos + 1, epoch_rng, best_valid,
                           valid_history_, params, best, &optimizer);
-        Restore(params, best);
+        RestoreParams(params, best);
         return;
       }
     }
@@ -252,7 +207,7 @@ void LstmModel::Fit(const Dataset& train, const Dataset& valid, Rng* rng) {
     valid_history_.push_back(vloss);
     if (vloss < best_valid || valid.size() == 0) {
       best_valid = vloss;
-      best = Snapshot(params);
+      best = SnapshotParams(params);
     }
     const bool drained = train::DrainRequested();
     if (snap.ShouldSnapshot(epoch + 1, config_.epochs) || drained) {
@@ -261,7 +216,7 @@ void LstmModel::Fit(const Dataset& train, const Dataset& valid, Rng* rng) {
     }
     if (drained) break;
   }
-  Restore(params, best);
+  RestoreParams(params, best);
   // Auto-calibrate the int8 tier on a held-out slice (valid when available)
   // so every trained model can serve SQLFACIL_PRECISION=int8 without an
   // extra offline step; tools/quantize re-runs this on saved checkpoints.
@@ -425,111 +380,8 @@ Status LstmModel::LoadFrom(std::istream& in) {
 
 std::vector<float> LstmModel::Predict(const std::string& statement,
                                       double opt_cost) const {
-  // A single query is a batch of one through the same fused inference
-  // kernels, so Predict and PredictBatch are bit-identical by construction
-  // (the autograd Forward sums the two gate matmuls separately and would
-  // differ from the fused LstmGates order in the last bit).
   return PredictBatch(std::span<const std::string>(&statement, 1),
                       std::span<const double>(&opt_cost, 1))[0];
-}
-
-void LstmModel::ForwardInference(
-    const std::vector<std::vector<int>>& encoded,
-    const std::vector<size_t>& order, size_t start, size_t end,
-    nn::Arena* arena, std::vector<std::vector<float>>* preds,
-    float* max_abs_h) const {
-  const int batch = static_cast<int>(end - start);
-  const int d = config_.embed_dim;
-  const int hidden = config_.hidden_dim;
-  const int layers = static_cast<int>(stack_.layers.size());
-  size_t max_len = 1;
-  for (size_t i = start; i < end; ++i) {
-    max_len = std::max(max_len, encoded[order[i]].size());
-  }
-
-  // Step workspace, allocated once and reused across every (t, layer) pair
-  // so the arena high-water mark is independent of sequence length.
-  float* x = arena->Alloc(static_cast<size_t>(batch) * d);
-  float* gx = arena->Alloc(static_cast<size_t>(batch) * 4 * hidden);
-  // Double-buffered per-layer state (prev / next swap each step).
-  thread_local std::vector<float*> h_prev, h_next, c_prev, c_next;
-  h_prev.assign(layers, nullptr);
-  h_next.assign(layers, nullptr);
-  c_prev.assign(layers, nullptr);
-  c_next.assign(layers, nullptr);
-  const size_t state_floats = static_cast<size_t>(batch) * hidden;
-  for (int l = 0; l < layers; ++l) {
-    h_prev[l] = arena->AllocZero(state_floats);
-    h_next[l] = arena->Alloc(state_floats);
-    c_prev[l] = arena->AllocZero(state_floats);
-    c_next[l] = arena->Alloc(state_floats);
-  }
-  thread_local std::vector<int> step_ids;
-  step_ids.assign(batch, -1);
-
-  for (size_t t = 0; t < max_len; ++t) {
-    for (int b = 0; b < batch; ++b) {
-      const auto& ids = encoded[order[start + b]];
-      step_ids[b] = t < ids.size() ? ids[t] : -1;
-    }
-    nn::infer::GatherRows(embedding_.table->value.data(), d, step_ids.data(),
-                          batch, x);
-    const float* input = x;
-    int input_dim = d;
-    for (int l = 0; l < layers; ++l) {
-      const auto& layer = stack_.layers[l];
-      // Gate pre-activations in one register-resident sweep:
-      // gx = x @ Wx + bias + h_prev @ Wh (same term order as the training
-      // fast path's forward).
-      nn::simd::LstmGates(input, layer.input_map.weight->value.data(),
-                          layer.input_map.bias->value.data(), h_prev[l],
-                          layer.hidden_map.weight->value.data(), gx, 0, batch,
-                          input_dim, hidden, 4 * hidden);
-      for (int b = 0; b < batch; ++b) {
-        float* h_out = h_next[l] + static_cast<size_t>(b) * hidden;
-        float* c_out = c_next[l] + static_cast<size_t>(b) * hidden;
-        const float* h_in = h_prev[l] + static_cast<size_t>(b) * hidden;
-        const float* c_in = c_prev[l] + static_cast<size_t>(b) * hidden;
-        if (t >= encoded[order[start + b]].size()) {
-          // Padded row: state carries over (autograd's BlendRows).
-          std::copy(h_in, h_in + hidden, h_out);
-          std::copy(c_in, c_in + hidden, c_out);
-          continue;
-        }
-        // Gate order [update, forget, output, candidate], matching
-        // SplitGates.
-        float* row = gx + static_cast<size_t>(b) * 4 * hidden;
-        nn::simd::SigmoidInPlace(row, 3 * static_cast<size_t>(hidden));
-        nn::simd::TanhInPlace(row + 3 * hidden, hidden);
-        nn::simd::LstmCellForward(row, row + hidden, row + 2 * hidden,
-                                  row + 3 * hidden, c_in, c_out, h_out,
-                                  static_cast<size_t>(hidden));
-        if (max_abs_h != nullptr) {
-          for (int j = 0; j < hidden; ++j) {
-            const float a = std::fabs(h_out[j]);
-            if (a > *max_abs_h) *max_abs_h = a;
-          }
-        }
-      }
-      std::swap(h_prev[l], h_next[l]);
-      std::swap(c_prev[l], c_next[l]);
-      input = h_prev[l];
-      input_dim = hidden;
-    }
-  }
-
-  float* logits = arena->Alloc(static_cast<size_t>(batch) * outputs_);
-  nn::infer::MatMul(h_prev[layers - 1], head_.weight->value.data(), logits,
-                    batch, hidden, outputs_);
-  nn::infer::BiasAdd(logits, head_.bias->value.data(), batch, outputs_);
-  for (int b = 0; b < batch; ++b) {
-    const float* row = logits + static_cast<size_t>(b) * outputs_;
-    auto& out = (*preds)[order[start + b]];
-    out.assign(row, row + outputs_);
-    if (kind_ == TaskKind::kClassification) {
-      nn::infer::SoftmaxInPlace(out.data(), out.size());
-    }
-  }
 }
 
 std::vector<std::vector<float>> LstmModel::PredictBatch(
@@ -538,13 +390,37 @@ std::vector<std::vector<float>> LstmModel::PredictBatch(
   (void)opt_costs;
   failpoint::MaybeFail("model.predict");
   nn::simd::LogDispatchOnce();
-  const size_t n = statements.size();
-  if (n == 0) return {};
-  if (nn::quant::ActivePrecision() == nn::quant::Precision::kInt8 &&
-      quant_.ready()) {
-    return PredictBatchInt8(statements);
+  const bool int8 = nn::quant::ActivePrecision() ==
+                        nn::quant::Precision::kInt8 &&
+                    quant_.ready();
+  std::vector<std::vector<float>> preds;
+  if (int8 && statements.size() == 1) {
+    // Single-query bypass: the bucketed path costs one EncodeAll shard
+    // dispatch, a sort, and a ParallelFor round trip — fixed overhead that
+    // dominates once the gates are quantized. Encode inline and run the
+    // bucket kernel on one row; bit-identical because LstmInt8Forward's rows
+    // depend only on their own sequence.
+    std::vector<int> ids = vocab_.Encode(statements[0], MaxLen());
+    if (ids.empty()) ids.push_back(Vocabulary::kUnkId);
+    const std::vector<int>* seq = &ids;
+    preds.assign(1, std::vector<float>(static_cast<size_t>(outputs_)));
+    nn::Arena& arena = nn::ThreadLocalArena();
+    nn::LstmInt8Forward(quant_, &seq, 1, &arena, preds[0].data());
+    arena.Reset();
+  } else {
+    preds = BatchLogits(
+        vocab_.EncodeAll(statements, MaxLen(), /*pad_empty=*/true), int8);
   }
-  auto encoded = vocab_.EncodeAll(statements, MaxLen(), /*pad_empty=*/true);
+  if (kind_ == TaskKind::kClassification) {
+    for (auto& p : preds) nn::infer::SoftmaxInPlace(p.data(), p.size());
+  }
+  return preds;
+}
+
+std::vector<std::vector<float>> LstmModel::BatchLogits(
+    const std::vector<std::vector<int>>& encoded, bool int8,
+    float* max_abs_h) const {
+  const size_t n = encoded.size();
   // Length bucketing as in Fit: stable sort by encoded length so buckets
   // carry minimal padding (and results stay order-independent — every row
   // computes from its own state only).
@@ -555,74 +431,35 @@ std::vector<std::vector<float>> LstmModel::PredictBatch(
   });
   const size_t bucket = static_cast<size_t>(std::max(1, config_.batch_size));
   const size_t num_buckets = (n + bucket - 1) / bucket;
-  std::vector<std::vector<float>> preds(n);
-  ParallelFor(0, num_buckets, 1, [&](size_t bb, size_t be) {
-    nn::Arena& arena = nn::ThreadLocalArena();
-    for (size_t b = bb; b < be; ++b) {
-      const size_t start = b * bucket;
-      ForwardInference(encoded, order, start, std::min(n, start + bucket),
-                       &arena, &preds);
-      arena.Reset();
-    }
-  });
-  return preds;
-}
-
-std::vector<std::vector<float>> LstmModel::PredictBatchInt8(
-    std::span<const std::string> statements) const {
-  const size_t n = statements.size();
-  std::vector<std::vector<float>> preds(n);
-  if (n == 1) {
-    // Single-query bypass: the bucketed path below costs one EncodeAll shard
-    // dispatch, a sort, and a ParallelFor round trip — fixed overhead that
-    // dominates once the gates are quantized. Encode inline and run the
-    // bucket kernel on one row; bit-identical because LstmInt8Forward's rows
-    // depend only on their own sequence.
-    std::vector<int> ids = vocab_.Encode(statements[0], MaxLen());
-    if (ids.empty()) ids.push_back(Vocabulary::kUnkId);
-    const std::vector<int>* seq = &ids;
-    nn::Arena& arena = nn::ThreadLocalArena();
-    auto& out = preds[0];
-    out.resize(static_cast<size_t>(outputs_));
-    nn::LstmInt8Forward(quant_, &seq, 1, &arena, out.data());
-    arena.Reset();
-    if (kind_ == TaskKind::kClassification) {
-      nn::infer::SoftmaxInPlace(out.data(), out.size());
-    }
-    return preds;
-  }
-  auto encoded = vocab_.EncodeAll(statements, MaxLen(), /*pad_empty=*/true);
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return encoded[a].size() < encoded[b].size();
-  });
-  const size_t bucket = static_cast<size_t>(std::max(1, config_.batch_size));
-  const size_t num_buckets = (n + bucket - 1) / bucket;
+  std::vector<std::vector<float>> logits(n);
+  // Per-bucket max|h|, reduced after the loop: max is exact, so the result
+  // does not depend on how buckets land on threads.
+  std::vector<float> bucket_max(max_abs_h != nullptr ? num_buckets : 0, 0.0f);
   ParallelFor(0, num_buckets, 1, [&](size_t bb, size_t be) {
     nn::Arena& arena = nn::ThreadLocalArena();
     thread_local std::vector<const std::vector<int>*> seqs;
-    thread_local std::vector<float> logits;
     for (size_t b = bb; b < be; ++b) {
       const size_t start = b * bucket;
-      const size_t end = std::min(n, start + bucket);
-      const int batch = static_cast<int>(end - start);
+      const int batch = static_cast<int>(std::min(n, start + bucket) - start);
       seqs.assign(batch, nullptr);
       for (int i = 0; i < batch; ++i) seqs[i] = &encoded[order[start + i]];
-      logits.assign(static_cast<size_t>(batch) * outputs_, 0.0f);
-      nn::LstmInt8Forward(quant_, seqs.data(), batch, &arena, logits.data());
-      arena.Reset();
-      for (int i = 0; i < batch; ++i) {
-        const float* row = logits.data() + static_cast<size_t>(i) * outputs_;
-        auto& out = preds[order[start + i]];
-        out.assign(row, row + outputs_);
-        if (kind_ == TaskKind::kClassification) {
-          nn::infer::SoftmaxInPlace(out.data(), out.size());
-        }
+      float* out = arena.Alloc(static_cast<size_t>(batch) * outputs_);
+      if (int8) {
+        nn::LstmInt8Forward(quant_, seqs.data(), batch, &arena, out);
+      } else {
+        nn::LstmFp32Forward(embedding_.table->value, stack_, head_,
+                            seqs.data(), batch, &arena, out,
+                            max_abs_h != nullptr ? &bucket_max[b] : nullptr);
       }
+      for (int i = 0; i < batch; ++i) {
+        const float* row = out + static_cast<size_t>(i) * outputs_;
+        logits[order[start + i]].assign(row, row + outputs_);
+      }
+      arena.Reset();
     }
   });
-  return preds;
+  for (float m : bucket_max) *max_abs_h = std::max(*max_abs_h, m);
+  return logits;
 }
 
 Status LstmModel::Quantize(std::span<const std::string> calibration) {
@@ -633,29 +470,13 @@ Status LstmModel::Quantize(std::span<const std::string> calibration) {
     return Status::InvalidArgument(
         "quantize requires calibration statements");
   }
-  // Calibration = the fp32 inference path with max|h| capture. Serial over
-  // buckets: the split is small and a single running max avoids any
-  // cross-thread reduction question.
-  auto encoded = vocab_.EncodeAll(calibration, MaxLen(), /*pad_empty=*/true);
-  std::vector<size_t> order(encoded.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return encoded[a].size() < encoded[b].size();
-  });
-  const size_t bucket = static_cast<size_t>(std::max(1, config_.batch_size));
-  std::vector<std::vector<float>> preds(encoded.size());
+  // Calibration = the fp32 inference path with max|h| capture.
   float max_abs = 0.0f;
-  nn::Arena& arena = nn::ThreadLocalArena();
-  for (size_t start = 0; start < encoded.size(); start += bucket) {
-    ForwardInference(encoded, order, start,
-                     std::min(encoded.size(), start + bucket), &arena, &preds,
-                     &max_abs);
-    arena.Reset();
-  }
+  BatchLogits(vocab_.EncodeAll(calibration, MaxLen(), /*pad_empty=*/true),
+              /*int8=*/false, &max_abs);
   hidden_scale_ = std::max(max_abs, 1e-6f) / 127.0f;
   quant_ = nn::BuildQuantLstmStack(embedding_.table->value, stack_, head_,
                                    outputs_, hidden_scale_);
   return Status::Ok();
 }
-
 }  // namespace sqlfacil::models

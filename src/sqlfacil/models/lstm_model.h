@@ -8,10 +8,6 @@
 #include "sqlfacil/nn/lstm_fused.h"
 #include "sqlfacil/nn/optim.h"
 
-namespace sqlfacil::nn {
-class Arena;
-}  // namespace sqlfacil::nn
-
 namespace sqlfacil::models {
 
 /// The three-layer LSTM of Section 5.2 (Figure 18): token embeddings fed
@@ -52,10 +48,10 @@ class LstmModel : public Model {
                              double opt_cost) const override;
   /// Batched fast path: queries are length-bucketed (stable sort by encoded
   /// length, fixed bucket size) so padding work is minimal, and each bucket
-  /// runs a fused graph-free forward with all temporaries in a per-thread
-  /// arena. Bit-identical to per-query Predict: every step kernel is
-  /// row-independent and padded rows keep their state, exactly like the
-  /// autograd path's BlendRows.
+  /// runs the graph-free nn::LstmFp32Forward (or nn::LstmInt8Forward) with
+  /// all temporaries in a per-thread arena. Predict is a batch of one, so
+  /// the two are bit-identical by construction: every step kernel is
+  /// row-independent and padded rows keep their state.
   std::vector<std::vector<float>> PredictBatch(
       std::span<const std::string> statements,
       std::span<const double> opt_costs = {}) const override;
@@ -82,24 +78,17 @@ class LstmModel : public Model {
                ? config_.max_len_char
                : config_.max_len_word;
   }
-  /// Batched forward over encoded sequences; returns (B x outputs).
-  nn::Var Forward(const std::vector<const std::vector<int>*>& batch) const;
-  /// Graph-free forward for one bucket of PredictBatch: queries
-  /// order[start..end), temporaries in `arena` (caller resets it), results
-  /// written to (*preds)[order[i]]. When `max_abs_h` is non-null, it also
-  /// accumulates max|h| over every active hidden state (all layers, all
-  /// steps) — the int8 tier's activation calibration.
-  void ForwardInference(const std::vector<std::vector<int>>& encoded,
-                        const std::vector<size_t>& order, size_t start,
-                        size_t end, nn::Arena* arena,
-                        std::vector<std::vector<float>>* preds,
-                        float* max_abs_h = nullptr) const;
-  /// Int8-tier PredictBatch (quant_ must be ready): same length-bucketed
-  /// partition as the fp32 path, plus a single-query bypass that skips the
-  /// EncodeAll shard dispatch, the sort, and the ParallelFor round trip.
-  std::vector<std::vector<float>> PredictBatchInt8(
-      std::span<const std::string> statements) const;
+  /// The graph-free forward behind Predict, PredictBatch, ValidLoss and
+  /// Quantize: length-buckets `encoded` and runs the buckets on the thread
+  /// pool at the fp32 or int8 (quant_ must be ready) tier. Returns each
+  /// query's logits (no softmax) in input order. When `max_abs_h` is
+  /// non-null (fp32 only) it is raised to max|h| over every active hidden
+  /// state -- the int8 tier's activation calibration.
+  std::vector<std::vector<float>> BatchLogits(
+      const std::vector<std::vector<int>>& encoded, bool int8,
+      float* max_abs_h = nullptr) const;
   std::vector<nn::Var> Params() const;
+  /// Mean loss of the fp32 BatchLogits on `valid` (pre-encoded).
   double ValidLoss(const Dataset& valid,
                    const std::vector<std::vector<int>>& encoded) const;
 

@@ -27,18 +27,6 @@ void MixMultiTaskDataset(Fingerprint* fp, const MultiTaskDataset& data) {
   for (float t : data.answer_targets) fp->MixFloat(t);
 }
 
-std::vector<nn::Tensor> Snapshot(const std::vector<nn::Var>& params) {
-  std::vector<nn::Tensor> out;
-  out.reserve(params.size());
-  for (const auto& p : params) out.push_back(p->value);
-  return out;
-}
-
-void Restore(const std::vector<nn::Var>& params,
-             const std::vector<nn::Tensor>& snapshot) {
-  for (size_t i = 0; i < params.size(); ++i) params[i]->value = snapshot[i];
-}
-
 }  // namespace
 
 nn::Var MultiTaskCnnModel::Encode(const std::vector<int>& ids, bool training,
@@ -156,7 +144,7 @@ void MultiTaskCnnModel::Fit(const MultiTaskDataset& train,
            HasTarget(train.answer_targets[idx]);
   };
 
-  std::vector<nn::Tensor> best = Snapshot(params);
+  std::vector<nn::Tensor> best = SnapshotParams(params);
   double best_valid = 1e300;
   valid_history_.clear();
   const size_t n = train.size();
@@ -199,7 +187,7 @@ void MultiTaskCnnModel::Fit(const MultiTaskDataset& train,
     auto drain_now = [&](uint64_t next_cursor) {
       SaveTrainSnapshot(&snap, epoch, next_cursor, epoch_rng, best_valid,
                         valid_history_, params, best, &optimizer);
-      Restore(params, best);
+      RestoreParams(params, best);
     };
     uint64_t bpos = 0;
     for (size_t start = 0; start < n;
@@ -273,7 +261,7 @@ void MultiTaskCnnModel::Fit(const MultiTaskDataset& train,
     valid_history_.push_back(vloss);
     if (vloss < best_valid || valid.size() == 0) {
       best_valid = vloss;
-      best = Snapshot(params);
+      best = SnapshotParams(params);
     }
     const bool drained = train::DrainRequested();
     if (snap.ShouldSnapshot(epoch + 1, config_.epochs) || drained) {
@@ -282,7 +270,7 @@ void MultiTaskCnnModel::Fit(const MultiTaskDataset& train,
     }
     if (drained) break;
   }
-  Restore(params, best);
+  RestoreParams(params, best);
 }
 
 Status MultiTaskCnnModel::SaveTo(std::ostream& out) const {
@@ -386,5 +374,4 @@ MultiTaskCnnModel::Prediction MultiTaskCnnModel::Predict(
   pred.answer = answer_head_.Apply(features)->value.at(0);
   return pred;
 }
-
 }  // namespace sqlfacil::models

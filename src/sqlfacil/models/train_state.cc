@@ -8,6 +8,7 @@
 #include "sqlfacil/models/checkpoint.h"
 #include "sqlfacil/models/serialize_util.h"
 #include "sqlfacil/util/failpoint.h"
+#include "sqlfacil/util/logging.h"
 
 namespace sqlfacil::models {
 
@@ -182,6 +183,19 @@ void MixDataset(Fingerprint* fp, const Dataset& data) {
   }
 }
 
+std::vector<nn::Tensor> SnapshotParams(const std::vector<nn::Var>& params) {
+  std::vector<nn::Tensor> out;
+  out.reserve(params.size());
+  for (const auto& p : params) out.push_back(p->value);
+  return out;
+}
+
+void RestoreParams(const std::vector<nn::Var>& params,
+                   const std::vector<nn::Tensor>& snapshot) {
+  SQLFACIL_CHECK(params.size() == snapshot.size());
+  for (size_t i = 0; i < params.size(); ++i) params[i]->value = snapshot[i];
+}
+
 TrainState CaptureTrainState(int32_t epoch, uint64_t batch_cursor,
                              const Rng::State& rng_state, double best_valid,
                              const std::vector<double>& valid_history,
@@ -194,8 +208,7 @@ TrainState CaptureTrainState(int32_t epoch, uint64_t batch_cursor,
   state.rng = rng_state;
   state.best_valid = best_valid;
   state.valid_history = valid_history;
-  state.params.reserve(params.size());
-  for (const auto& p : params) state.params.push_back(p->value);
+  state.params = SnapshotParams(params);
   state.best_params = best_params;
   if (optimizer != nullptr) {
     std::ostringstream out(std::ios::binary);

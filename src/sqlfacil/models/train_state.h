@@ -90,6 +90,13 @@ class Fingerprint {
 /// targets) into `fp`.
 void MixDataset(Fingerprint* fp, const Dataset& data);
 
+/// Deep copy of parameter values (the best-epoch snapshot).
+std::vector<nn::Tensor> SnapshotParams(const std::vector<nn::Var>& params);
+
+/// Writes a SnapshotParams copy back into `params`.
+void RestoreParams(const std::vector<nn::Var>& params,
+                   const std::vector<nn::Tensor>& snapshot);
+
 /// Assembles a TrainState from a trainer's live objects: copies current
 /// parameter values, the best-epoch tensors and history, and serializes
 /// `optimizer`'s state (pass nullptr for optimizer-free trainers).

@@ -329,6 +329,91 @@ void LstmSequenceBackward(Variable& node) {
 
 }  // namespace detail
 
+void LstmFp32Forward(const Tensor& embedding, const LstmStack& stack,
+                     const Linear& head, const std::vector<int>* const* seqs,
+                     int batch, Arena* arena, float* logits,
+                     float* max_abs_h) {
+  const int d = embedding.cols();
+  const int layers = static_cast<int>(stack.layers.size());
+  const int hidden = stack.layers[0].hidden_dim;
+  const int outputs = head.weight->value.cols();
+  size_t max_len = 1;
+  for (int b = 0; b < batch; ++b) {
+    max_len = std::max(max_len, seqs[b]->size());
+  }
+
+  // Step workspace, allocated once and reused across every (t, layer) pair
+  // so the arena high-water mark is independent of sequence length.
+  float* x = arena->Alloc(static_cast<size_t>(batch) * d);
+  float* gx = arena->Alloc(static_cast<size_t>(batch) * 4 * hidden);
+  // Double-buffered per-layer state (prev / next swap each step).
+  thread_local std::vector<float*> h_prev, h_next, c_prev, c_next;
+  h_prev.assign(layers, nullptr);
+  h_next.assign(layers, nullptr);
+  c_prev.assign(layers, nullptr);
+  c_next.assign(layers, nullptr);
+  const size_t state_floats = static_cast<size_t>(batch) * hidden;
+  for (int l = 0; l < layers; ++l) {
+    h_prev[l] = arena->AllocZero(state_floats);
+    h_next[l] = arena->Alloc(state_floats);
+    c_prev[l] = arena->AllocZero(state_floats);
+    c_next[l] = arena->Alloc(state_floats);
+  }
+  thread_local std::vector<int> step_ids;
+  step_ids.assign(batch, -1);
+
+  for (size_t t = 0; t < max_len; ++t) {
+    for (int b = 0; b < batch; ++b) {
+      const auto& ids = *seqs[b];
+      step_ids[b] = t < ids.size() ? ids[t] : -1;
+    }
+    infer::GatherRows(embedding.data(), d, step_ids.data(), batch, x);
+    const float* input = x;
+    int input_dim = d;
+    for (int l = 0; l < layers; ++l) {
+      const auto& layer = stack.layers[l];
+      // Gate pre-activations in one register-resident sweep:
+      // gx = x @ Wx + bias + h_prev @ Wh (LstmSequence's term order).
+      simd::LstmGates(input, layer.input_map.weight->value.data(),
+                      layer.input_map.bias->value.data(), h_prev[l],
+                      layer.hidden_map.weight->value.data(), gx, 0, batch,
+                      input_dim, hidden, 4 * hidden);
+      for (int b = 0; b < batch; ++b) {
+        float* h_out = h_next[l] + static_cast<size_t>(b) * hidden;
+        float* c_out = c_next[l] + static_cast<size_t>(b) * hidden;
+        const float* h_in = h_prev[l] + static_cast<size_t>(b) * hidden;
+        const float* c_in = c_prev[l] + static_cast<size_t>(b) * hidden;
+        if (t >= seqs[b]->size()) {
+          // Padded row: state carries over.
+          std::copy(h_in, h_in + hidden, h_out);
+          std::copy(c_in, c_in + hidden, c_out);
+          continue;
+        }
+        // Gate order [update, forget, output, candidate] as in SplitGates.
+        float* row = gx + static_cast<size_t>(b) * 4 * hidden;
+        simd::SigmoidInPlace(row, 3 * static_cast<size_t>(hidden));
+        simd::TanhInPlace(row + 3 * hidden, hidden);
+        simd::LstmCellForward(row, row + hidden, row + 2 * hidden,
+                              row + 3 * hidden, c_in, c_out, h_out,
+                              static_cast<size_t>(hidden));
+        if (max_abs_h != nullptr) {
+          for (int j = 0; j < hidden; ++j) {
+            *max_abs_h = std::max(*max_abs_h, std::fabs(h_out[j]));
+          }
+        }
+      }
+      std::swap(h_prev[l], h_next[l]);
+      std::swap(c_prev[l], c_next[l]);
+      input = h_prev[l];
+      input_dim = hidden;
+    }
+  }
+
+  infer::MatMul(h_prev[layers - 1], head.weight->value.data(), logits, batch,
+                hidden, outputs);
+  infer::BiasAdd(logits, head.bias->value.data(), batch, outputs);
+}
+
 std::vector<float> BuildLstmXTable(const Tensor& embedding,
                                    const LstmLayer& layer0) {
   const int vocab = embedding.shape()[0];

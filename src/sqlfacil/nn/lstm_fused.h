@@ -35,6 +35,18 @@ Var LstmSequence(const Var& table, const LstmStack& stack,
                  const std::vector<int>& step_ids,
                  const std::vector<int>& lens, int max_len);
 
+/// Graph-free fp32 forward over a bucket: the LstmSequence kernel
+/// sequence without the saved slabs, then the head. seqs[b] is query b's
+/// encoded ids (>= 1 token each). Writes logits (batch x head outputs,
+/// row-major); all temporaries come from `arena` (caller resets it). Row b
+/// depends only on seqs[b], so any bucket partition is bit-identical. When
+/// `max_abs_h` is non-null it is raised to max|h| over every active hidden
+/// state (all layers, all steps) -- the int8 tier's calibration.
+void LstmFp32Forward(const Tensor& embedding, const LstmStack& stack,
+                     const Linear& head, const std::vector<int>* const* seqs,
+                     int batch, Arena* arena, float* logits,
+                     float* max_abs_h = nullptr);
+
 /// The int8 precision tier's LSTM stack (nn/quant.h scheme), built offline
 /// from trained fp32 parameters:
 ///   - Layer 0's token -> gate input transform is exact: every embedding

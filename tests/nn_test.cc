@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "sqlfacil/nn/arena.h"
 #include "sqlfacil/nn/autograd.h"
@@ -514,6 +516,51 @@ TEST(LstmFusedTest, MatchesLayerByLayerForwardAndGradients) {
                   1e-4f * std::max(1.0f, std::fabs(ref.data()[i])))
           << "param " << pi << " element " << i;
     }
+  }
+}
+
+// LstmFp32Forward is the LSTM's only inference forward (Predict,
+// PredictBatch, ValidLoss, calibration): its logits must equal the training
+// forward -- LstmSequence then the Linear head -- bit for bit, on padded
+// buckets of mixed lengths at one and several layers.
+TEST(LstmFusedTest, Fp32ForwardMatchesTrainingForward) {
+  Rng rng(37);
+  const std::vector<std::vector<int>> seqs = {
+      {1, 2, 3}, {4}, {5, 6, 7, 8, 9}, {0, 3}, {2, 2, 2, 2}};
+  const int batch = static_cast<int>(seqs.size());
+  const int max_len = 5;
+  for (int layers : {1, 3}) {
+    SCOPED_TRACE("layers=" + std::to_string(layers));
+    Embedding emb(10, 5, &rng);
+    LstmStack stack(5, 7, layers, &rng);
+    Linear head(7, 3, &rng);
+
+    std::vector<int> step_ids(static_cast<size_t>(max_len) * batch, -1);
+    std::vector<int> lens(batch);
+    for (int b = 0; b < batch; ++b) {
+      lens[b] = static_cast<int>(seqs[b].size());
+      for (size_t t = 0; t < seqs[b].size(); ++t) {
+        step_ids[t * batch + b] = seqs[b][t];
+      }
+    }
+    const Tensor want =
+        head.Apply(LstmSequence(emb.table, stack, step_ids, lens, max_len))
+            ->value;
+    ThreadLocalTrainArena().Reset();
+
+    std::vector<const std::vector<int>*> refs;
+    for (const auto& s : seqs) refs.push_back(&s);
+    std::vector<float> got(static_cast<size_t>(batch) * 3);
+    Arena arena;
+    float max_abs_h = 0.0f;
+    LstmFp32Forward(emb.table->value, stack, head, refs.data(), batch, &arena,
+                    got.data(), &max_abs_h);
+    ASSERT_EQ(want.size(), got.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(want.data()[i], got[i]) << "logit " << i;
+    }
+    EXPECT_GT(max_abs_h, 0.0f);
+    EXPECT_LT(max_abs_h, 1.0f);  // |o * tanh(c)| < 1
   }
 }
 

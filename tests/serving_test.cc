@@ -1,7 +1,8 @@
 // Tests for the batched inference fast path: arena lifetime, SIMD kernel
-// bit-identity across dispatch, PredictBatch == per-query Predict for every
-// model family, and the prediction cache (hits bit-identical to misses,
-// normalization, LRU eviction, invalidation on refit).
+// bit-identity across dispatch, PredictBatch == per-query Predict, the CNN
+// kernels == its training graph, and the prediction cache (hits
+// bit-identical to misses, normalization, LRU eviction, invalidation on
+// refit).
 
 #include <gtest/gtest.h>
 
@@ -38,6 +39,30 @@
 #include "sqlfacil/util/failpoint.h"
 #include "sqlfacil/util/random.h"
 #include "sqlfacil/util/thread_pool.h"
+
+namespace sqlfacil::models {
+
+// Reaches CnnModel's private forwards (the class befriends it).
+class CnnModelPeer {
+ public:
+  // Eval-mode logits of the autograd graph that training steps build.
+  static std::vector<float> GraphLogits(const CnnModel& model,
+                                        const std::string& statement) {
+    Rng unused(0);
+    const nn::Var logits =
+        model.Forward(model.vocab_.Encode(statement, model.MaxLen()),
+                      /*training=*/false, &unused);
+    return {logits->value.data(),
+            logits->value.data() + logits->value.size()};
+  }
+  // Logits of the fp32 batched kernels that Predict and ValidLoss run.
+  static std::vector<std::vector<float>> KernelLogits(
+      const CnnModel& model, const std::vector<std::string>& statements) {
+    return model.BatchLogits(statements, /*int8=*/false);
+  }
+};
+
+}  // namespace sqlfacil::models
 
 namespace sqlfacil {
 namespace {
@@ -300,7 +325,11 @@ TEST(PredictBatchTest, TfidfMatchesPredict) {
 // 20 mixes a vector tile with a scalar tail.
 constexpr int kCnnKernelWidths[] = {4, 20, 48};
 
-TEST(PredictBatchTest, CnnMatchesPredict) {
+// The batched kernels are the CNN's only inference forward; the autograd
+// graph that training differentiates must produce the same logits bit for
+// bit in eval mode (dropout off), or early stopping and serving would score
+// a different function than the one trained.
+TEST(PredictBatchTest, CnnKernelLogitsMatchTrainingForward) {
   const Dataset train = SyntheticClassification(40, 3);
   const Dataset test = SyntheticClassification(40, 4);
   for (int kernels : kCnnKernelWidths) {
@@ -315,26 +344,13 @@ TEST(PredictBatchTest, CnnMatchesPredict) {
     Rng rng(7);
     model.Fit(train, train, &rng);
     // 40 queries > the 32-query slice, so slicing boundaries are exercised.
-    ExpectBitIdentical(model.PredictBatch(test.statements),
-                       PredictLoop(model, test.statements));
+    std::vector<std::vector<float>> graph;
+    for (const auto& s : test.statements) {
+      graph.push_back(models::CnnModelPeer::GraphLogits(model, s));
+    }
+    ExpectBitIdentical(
+        models::CnnModelPeer::KernelLogits(model, test.statements), graph);
   }
-}
-
-TEST(PredictBatchTest, LstmMatchesPredict) {
-  const Dataset train = SyntheticClassification(40, 5);
-  const Dataset test = SyntheticClassification(30, 6);
-  models::LstmModel::Config config;
-  config.granularity = sql::Granularity::kWord;
-  config.embed_dim = 4;
-  config.hidden_dim = 8;
-  config.num_layers = 2;
-  config.epochs = 1;
-  config.batch_size = 8;
-  models::LstmModel model(config);
-  Rng rng(7);
-  model.Fit(train, train, &rng);
-  ExpectBitIdentical(model.PredictBatch(test.statements),
-                     PredictLoop(model, test.statements));
 }
 
 TEST(PredictBatchTest, LstmEdgeCases) {
